@@ -100,6 +100,15 @@ class MissionConfig:
             raise ConfigError("mission.inflate_radius: must be non-negative")
         if self.n_beams < 2:
             raise ConfigError("mission.n_beams: need at least 2 beams")
+        for name in ("comm_drop", "p_detect_min", "p_detect_max"):
+            value = getattr(self.noise, name)
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"noise.{name}: must lie in [0, 1], got {value!r}")
+        if self.noise.p_detect_min > self.noise.p_detect_max:
+            raise ConfigError(
+                f"noise.p_detect_min: {self.noise.p_detect_min!r} exceeds "
+                f"noise.p_detect_max {self.noise.p_detect_max!r}"
+            )
         if self.trial_distance > ACTIVATION_RADIUS + 0.25:
             raise ConfigError(
                 "mission.trial_distance: exceeds the pickup activation radius "

@@ -164,39 +164,85 @@ def integrate_scan(
     """Fold one range scan into the grid.
 
     Each scan entry is (bearing, range, max_range), bearing relative to the
-    robot heading.  Cells strictly between the robot cell and the hit cell
-    become Free; the hit cell becomes Occupied.  Rays that reach max_range
-    mark free space only (every traversed cell after the robot cell, no
-    Occupied write).  Occupied is never demoted to Free.
+    robot heading.  Each beam covers the cells `trace_cells` reports from
+    the robot to the beam end, less the robot's own cell.  A hit beam
+    (range < max_range) marks its last cell Occupied when the hit point
+    itself lies in that cell, and its other cells Free; when the end was
+    clipped at the grid edge, every cell is Free.  Rays that reach
+    max_range mark free space only.
+
+    The writes are a join on Unknown < Free < Occupied: Occupied is never
+    demoted to Free, so the result does not depend on beam order, and the
+    scan folds in as two masked writes, the union of the free cells and
+    then the union of the hit cells.  All beams of one scan are traced in
+    one numpy pass with the same float operations, in the same order, as
+    `trace_cells`: each beam's x- and y-gridline crossing parameters
+    (Amanatides & Woo) fill one padded row, the rows are sorted, and each
+    interval longer than 1e-12 names the cell under its midpoint.  A call
+    handles one scan, so its temporaries stay near 10^4 elements.
     """
-    for bearing, rng, max_range in scan:
-        hit = rng < max_range
-        reach = min(rng, max_range)
-        ang = robot.theta + bearing
-        ex = robot.x + reach * math.cos(ang)
-        ey = robot.y + reach * math.sin(ang)
-        cells = trace_cells(grid, robot.x, robot.y, ex, ey)
-        if not cells:
-            continue
-        start = grid.world_to_cell(robot.x, robot.y)
-        if cells and cells[0] == start:
-            cells = cells[1:]
-        if not cells:
-            continue
-        if hit:
-            free_cells, hit_cell = cells[:-1], cells[-1]
-            # the endpoint cell may have been clipped at the grid edge; only
-            # mark Occupied when the hit point itself maps into the grid
-            end_cell = grid.world_to_cell(ex, ey)
-            if end_cell is not None and end_cell == hit_cell:
-                grid.cells[hit_cell[1], hit_cell[0]] = OCCUPIED
-            else:
-                free_cells = cells
-        else:
-            free_cells = cells
-        for col, row in free_cells:
-            if grid.cells[row, col] != OCCUPIED:
-                grid.cells[row, col] = FREE
+    if not scan:
+        return
+    c = math.cos(grid.origin.theta)
+    s = math.sin(grid.origin.theta)
+    res = grid.resolution
+    bearing, rng, max_range = (np.array(v) for v in zip(*scan))
+    reach = np.minimum(rng, max_range)
+    ang = (robot.theta + bearing).tolist()
+    ex = robot.x + reach * np.array([math.cos(t) for t in ang])
+    ey = robot.y + reach * np.array([math.sin(t) for t in ang])
+
+    # grid-frame robot (a) and beam ends (b), columns x and y, in cell units
+    rdx, rdy = robot.x - grid.origin.x, robot.y - grid.origin.y
+    a = np.array([(c * rdx + s * rdy) / res, (-s * rdx + c * rdy) / res])
+    edx, edy = ex - grid.origin.x, ey - grid.origin.y
+    b = np.empty((len(scan), 2))
+    b[:, 0] = (c * edx + s * edy) / res
+    b[:, 1] = (-s * edx + c * edy) / res
+    d = b - a
+
+    # per beam, the segment ends and every x- and y-gridline crossing
+    # parameter, padded with 2.0, past the segment end; a gridline k
+    # between a and b gives (k - a) / d in [0, 1] even after rounding
+    k0 = np.ceil(np.minimum(a, b))
+    n = np.floor(np.maximum(a, b)) - k0 + 1.0
+    n[np.abs(d) <= 1e-15] = 0.0
+    k = k0[..., None] + np.arange(max(int(n.max()), 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (k - a[:, None]) / d[..., None]
+    t[k >= (k0 + n)[..., None]] = 2.0
+    ts = np.empty((len(scan), 2 + t.shape[1] * t.shape[2]))
+    ts[:, :2] = (0.0, 1.0)
+    ts[:, 2:] = t.reshape(len(scan), -1)
+    ts.sort(axis=1)
+
+    # one entry per interval longer than 1e-12, beam by beam in traversal
+    # order, naming the cell under its midpoint
+    lo, hi = ts[:, :-1], ts[:, 1:]
+    live = (hi <= 1.0) & (hi - lo > 1e-12)
+    beam = np.repeat(np.arange(len(scan)), live.sum(axis=1))
+    tm = (0.5 * (lo + hi))[live]
+    cols = np.floor(a[0] + tm * d[beam, 0]).astype(np.int64)
+    rows = np.floor(a[1] + tm * d[beam, 1]).astype(np.int64)
+    keep = (0 <= cols) & (cols < grid.width) & (0 <= rows) & (rows < grid.height)
+    # the robot's own cell is left out; cells run monotonically away from
+    # it along each segment, so wherever it is traced it is traced first
+    start = grid.world_to_cell(robot.x, robot.y)
+    if start is not None:
+        keep &= (cols != start[0]) | (rows != start[1])
+    beam, cols, rows = beam[keep], cols[keep], rows[keep]
+
+    grid.cells[rows, cols] = np.where(grid.cells[rows, cols] == OCCUPIED, OCCUPIED, FREE)
+
+    # a hit marks the last traced cell, and only when the hit point itself
+    # lies in it; a beam clipped at the grid edge ends in another cell
+    last = np.ones(len(beam), dtype=bool)
+    last[:-1] = beam[1:] != beam[:-1]
+    beam, cols, rows = beam[last], cols[last], rows[last]
+    end_col = np.floor(b[beam, 0]).astype(np.int64)
+    end_row = np.floor(b[beam, 1]).astype(np.int64)
+    occupied = (rng[beam] < max_range[beam]) & (cols == end_col) & (rows == end_row)
+    grid.cells[rows[occupied], cols[occupied]] = OCCUPIED
 
 
 def close_occupied(mask: np.ndarray, se: StructuringElement) -> np.ndarray:

@@ -48,7 +48,7 @@ from .pickup import MotionCommand, PickupPhase, TooFar, start_pickup
 from .pickup import step as pickup_step
 from .planner import CostField, StartOccupied, approach_goal, astar, order_waypoints
 from .posebuffer import OutOfRange, PoseBuffer, StampedPose, write_trajectory
-from .simworld import DelayQueue, World, aerial_survey
+from .simworld import DelayQueue, LayoutError, World, aerial_survey
 
 COLLECTED = "Collected"
 TIMED_OUT = "TimedOut"
@@ -169,13 +169,19 @@ class _Runner:
 
     def __init__(self, cfg: MissionConfig, world_cfg=None):
         self.cfg = cfg
-        self.world = World(
-            world_cfg if world_cfg is not None else cfg.world,
-            cfg.noise,
-            brush_halfwidth=cfg.pickup.brush_halfwidth,
-        )
+        try:
+            self.world = World(
+                world_cfg if world_cfg is not None else cfg.world,
+                cfg.noise,
+                brush_halfwidth=cfg.pickup.brush_halfwidth,
+            )
+        except LayoutError as exc:
+            raise ConfigError(f"world layout: {exc}") from None
+        # the lookup buffer forgets poses past its horizon; the trajectory
+        # log keeps every one for trajectory.txt
         self.buf = PoseBuffer()
-        self.buf.insert(StampedPose(0.0, self.world.robot.believed_pose))
+        self.trajectory = [StampedPose(0.0, self.world.robot.believed_pose)]
+        self.buf.insert(self.trajectory[0])
         self.hypotheses: list[TrashHypothesis] = []
         self.confirmed_list: list[TrashHypothesis] = []
         self.frames = DelayQueue()
@@ -199,7 +205,9 @@ class _Runner:
         self.world.step_world(cmd)
         if mapping:
             self.world.sync_believed()
-        self.buf.insert(StampedPose(self.world.t, self.world.robot.believed_pose))
+        sp = StampedPose(self.world.t, self.world.robot.believed_pose)
+        self.buf.insert(sp)
+        self.trajectory.append(sp)
 
     def _out_of_time(self) -> bool:
         return self.world.t >= self.cfg.max_time
@@ -639,7 +647,7 @@ class _Runner:
         os.makedirs(out_dir, exist_ok=True)
         write_report(report, os.path.join(out_dir, "report.txt"))
         write_hypotheses(self.hypotheses, self.cfg.filter, os.path.join(out_dir, "hypotheses.txt"))
-        write_trajectory(self.buf, os.path.join(out_dir, "trajectory.txt"))
+        write_trajectory(self.trajectory, os.path.join(out_dir, "trajectory.txt"))
         with open(os.path.join(out_dir, "ground_truth.txt"), "w", encoding="utf-8") as fh:
             for ob in self.world.obstacles:
                 fh.write(f"obstacle = {ob.x0!r} {ob.y0!r} {ob.x1!r} {ob.y1!r}\n")
@@ -775,7 +783,12 @@ def run_batch(
             for key, value in zip(sweep_keys, combo):
                 apply_override(raw_run, key, value)
             apply_override(raw_run, "world.seed", str(seed))
-            report = run_mission(build_config(raw_run))
+            cfg = build_config(raw_run)
+            try:
+                report = run_mission(cfg)
+            except ConfigError as exc:
+                point = "".join(f", {k}={v}" for k, v in zip(sweep_keys, combo))
+                raise ConfigError(f"seed {seed}{point}: {exc}") from None
             row = {"seed": seed}
             row.update(zip(sweep_keys, combo))
             row.update(

@@ -12,6 +12,7 @@ inserts.  No locking is provided here.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .geometry import Pose2D, wrap_angle
@@ -47,6 +48,9 @@ class PoseBuffer:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __iter__(self) -> Iterator[StampedPose]:
+        return iter(self._entries)
 
     def span(self) -> tuple[float, float] | None:
         """(oldest stamp, newest stamp), or None when empty."""
@@ -110,8 +114,8 @@ class PoseBuffer:
         )
 
 
-def write_trajectory(buf: PoseBuffer, path: str) -> None:
-    """Dump the buffered trajectory, one `t x y theta` line per entry."""
+def write_trajectory(poses: Iterable[StampedPose], path: str) -> None:
+    """Dump a trajectory, one `t x y theta` line per stamped pose."""
     with open(path, "w", encoding="ascii") as f:
-        for sp in buf._entries:
+        for sp in poses:
             f.write(f"{sp.t!r} {sp.pose.x!r} {sp.pose.y!r} {sp.pose.theta!r}\n")

@@ -33,6 +33,11 @@ MAX_TRASH_MASS = 0.64  # kg; heavier items jam the collection mechanism
 TRASH_RADIUS = 0.1  # nominal object radius used for apparent size, meters
 
 
+class LayoutError(ValueError):
+    """The world layout cannot be built: the spacing rules leave no room,
+    or an obstacle, item or start pose falls outside the arena."""
+
+
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned rectangle [x0, x1] x [y0, y1]."""
@@ -197,8 +202,12 @@ def random_layout(
         for _attempt in range(200):
             w = rng.uniform(0.3, 1.0)
             h = rng.uniform(0.3, 1.0)
-            cx = rng.uniform(0.8 + w / 2, arena_w - 0.8 - w / 2)
-            cy = rng.uniform(0.8 + h / 2, arena_h - 0.8 - h / 2)
+            lo_x, hi_x = 0.8 + w / 2, arena_w - 0.8 - w / 2
+            lo_y, hi_y = 0.8 + h / 2, arena_h - 0.8 - h / 2
+            if hi_x < lo_x or hi_y < lo_y:
+                continue  # no room for this box within the wall clearance
+            cx = rng.uniform(lo_x, hi_x)
+            cy = rng.uniform(lo_y, hi_y)
             cand = Rect(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
             if cand.distance_to(start.x, start.y) < 0.6:
                 continue
@@ -213,7 +222,9 @@ def random_layout(
                 obstacles.append(cand)
                 break
         else:
-            raise ValueError("could not place obstacles under the spacing rules")
+            raise LayoutError("could not place obstacles under the spacing rules")
+    if n_trash and min(arena_w, arena_h) < 1.0:
+        raise LayoutError("arena too small to keep trash 0.5 m off the walls")
     trash: list[tuple[GroundPoint, float]] = []
     for _ in range(n_trash):
         for _attempt in range(200):
@@ -228,7 +239,7 @@ def random_layout(
             trash.append((GroundPoint(x, y), trash_mass))
             break
         else:
-            raise ValueError("could not place trash under the spacing rules")
+            raise LayoutError("could not place trash under the spacing rules")
     return tuple(obstacles), tuple(trash)
 
 
@@ -272,16 +283,16 @@ class World:
                 and self.arena.y0 <= ob.y0
                 and ob.y1 <= self.arena.y1
             ):
-                raise ValueError(f"obstacle {ob} extends outside the arena")
+                raise LayoutError(f"obstacle {ob} extends outside the arena")
         for item in self.trash:
             if not self.arena.contains(item.position.x, item.position.y):
-                raise ValueError(f"trash at {item.position} lies outside the arena")
+                raise LayoutError(f"trash at {item.position} lies outside the arena")
             if item.mass <= 0.0 or item.mass > MAX_TRASH_MASS:
-                raise ValueError(
+                raise LayoutError(
                     f"trash mass {item.mass} kg outside (0, {MAX_TRASH_MASS}]"
                 )
         if not self.arena.contains(self.cfg.start.x, self.cfg.start.y):
-            raise ValueError("start pose lies outside the arena")
+            raise LayoutError("start pose lies outside the arena")
 
     # ------------------------------------------------------------------ #
     # kinematics

@@ -145,3 +145,50 @@ def test_unknown_override_key_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("noise.comm_drop = 3\n", "noise.comm_drop: must lie in [0, 1]"),
+        ("noise.p_detect_min = 2\n", "noise.p_detect_min: must lie in [0, 1]"),
+        ("world.obstacle_count = 60\n", "could not place obstacles"),
+        ("world.arena_w = 0.5\n", "could not place obstacles"),
+        (
+            "world.arena_w = 0.5\nworld.obstacle_count = 0\n",
+            "arena too small to keep trash",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "map", "batch"])
+def test_impossible_config_exits_1_from_every_command(tmp_path, capsys, text, message, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    extra = {
+        "run": [],
+        "map": ["--out", str(tmp_path / "m.grid")],
+        "batch": ["--seeds", "0..1"],
+    }[command]
+    code = main([command, "--config", str(cfg), *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_batch_names_the_seed_whose_layout_fails(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_MAP_CFG, encoding="utf-8")
+    code = main(
+        [
+            "batch", "--config", str(cfg), "--seeds", "4",
+            "--sweep", "world.obstacle_count=0,60",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(
+        "config error: seed 4, world.obstacle_count=60: world layout: "
+        "could not place obstacles"
+    )

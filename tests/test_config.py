@@ -135,6 +135,31 @@ def test_component_validation_reports_as_config_error():
         build_config({"filter.accept_threshold": ["0"]})
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("noise.comm_drop", "3"),
+        ("noise.comm_drop", "-0.1"),
+        ("noise.p_detect_min", "2"),
+        ("noise.p_detect_min", "-0.5"),
+        ("noise.p_detect_max", "1.5"),
+    ],
+)
+def test_noise_probabilities_must_lie_in_unit_interval(key, value):
+    with pytest.raises(ConfigError, match=rf"^{key}: must lie in \[0, 1\]"):
+        build_config({key: [value]})
+
+
+def test_noise_detection_clamp_must_be_ordered():
+    with pytest.raises(ConfigError, match=r"^noise.p_detect_min: 0.9 exceeds"):
+        build_config({"noise.p_detect_min": ["0.9"], "noise.p_detect_max": ["0.5"]})
+    # the endpoints and an equal clamp are fine
+    cfg = build_config(
+        {"noise.comm_drop": ["1"], "noise.p_detect_min": ["0"], "noise.p_detect_max": ["0"]}
+    )
+    assert cfg.noise.comm_drop == 1.0 and cfg.noise.p_detect_max == 0.0
+
+
 def test_load_config_file_roundtrip(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from littersim.geometry import Pose2D
 from littersim.gridmap import (
@@ -146,6 +148,105 @@ def test_integrate_scan_never_demotes_occupied():
     # a longer ray through the same cell leaves the hit in place
     integrate_scan(g, robot, [(0.0, 1.5, 3.5)])
     assert g.cells[0, 10] == OCCUPIED
+
+
+def integrate_scan_per_beam(grid, robot, scan):
+    """Reference scan integration: one `trace_cells` walk and one cell
+    write at a time, beam after beam."""
+    for bearing, rng, max_range in scan:
+        hit = rng < max_range
+        reach = min(rng, max_range)
+        ang = robot.theta + bearing
+        ex = robot.x + reach * math.cos(ang)
+        ey = robot.y + reach * math.sin(ang)
+        cells = trace_cells(grid, robot.x, robot.y, ex, ey)
+        if cells and cells[0] == grid.world_to_cell(robot.x, robot.y):
+            cells = cells[1:]
+        if not cells:
+            continue
+        free_cells = cells
+        if hit and grid.world_to_cell(ex, ey) == cells[-1]:
+            free_cells = cells[:-1]
+            grid.cells[cells[-1][1], cells[-1][0]] = OCCUPIED
+        for col, row in free_cells:
+            if grid.cells[row, col] != OCCUPIED:
+                grid.cells[row, col] = FREE
+
+
+_QUARTERS = st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi])
+_ANGLES = st.one_of(
+    _QUARTERS,
+    st.just(math.pi / 4),
+    # a hair off the grid axes: crossings of nearly parallel gridlines
+    st.tuples(_QUARTERS, st.floats(-1e-4, 1e-4)).map(sum),
+    st.floats(-math.pi, math.pi),
+)
+
+
+@st.composite
+def _scan_case(draw):
+    res = draw(st.sampled_from([0.05, 0.1, 0.25, 1.0]))
+    width = draw(st.integers(1, 30))
+    height = draw(st.integers(1, 30))
+    origin = Pose2D(
+        draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
+        draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
+        draw(st.one_of(st.just(0.0), _ANGLES)),
+    )
+    grid = OccupancyGrid(width, height, res, origin)
+    fill = draw(st.sampled_from(["unknown", "mixed", "occupied", "free"]))
+    if fill == "mixed":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        grid.cells = rng.choice(
+            np.array([FREE, OCCUPIED, UNKNOWN], dtype=np.uint8), size=(height, width)
+        )
+    elif fill != "unknown":
+        grid.cells[:] = OCCUPIED if fill == "occupied" else FREE
+
+    def grid_coord(n):
+        # on a gridline or corner, a hair off one, a cell center, or
+        # anywhere in and around the grid (off it included)
+        return draw(st.one_of(
+            st.integers(-2, n + 2).map(float),
+            st.tuples(st.integers(0, n), st.floats(-1e-3, 1e-3)).map(sum),
+            st.integers(0, n).map(lambda k: k + 0.5),
+            st.floats(-0.5 * n, 1.5 * n),
+        )) * res
+
+    gx, gy = grid_coord(width), grid_coord(height)
+    c, s = math.cos(origin.theta), math.sin(origin.theta)
+    robot = Pose2D(origin.x + c * gx - s * gy, origin.y + s * gx + c * gy, draw(_ANGLES))
+    max_range = draw(st.sampled_from([1.0, 3.5, 3.0 * res]))
+    beam = st.tuples(
+        _ANGLES,
+        st.one_of(
+            st.just(0.0),
+            st.just(max_range),
+            st.floats(0.0, 2.0 * max_range),
+            st.integers(0, 12).map(lambda k: k * res),
+        ),
+        st.just(max_range),
+    )
+    return grid, robot, draw(st.lists(beam, max_size=40))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_scan_case())
+# a beam 1e-4 rad off the +y axis, starting 5e-4 cells left of the x = 10
+# gridline, crosses it a twelfth of the way along: the short stretch on
+# either side of the crossing is a cell of its own
+@example((
+    OccupancyGrid(40, 80, 0.05, Pose2D(0.0, 0.0, 0.0)),
+    Pose2D((10 - 5e-4) * 0.05, 0.025, math.pi / 2 - 1e-4),
+    [(0.0, 3.0, 3.5)],
+))
+def test_integrate_scan_equals_per_beam_reference(case):
+    grid, robot, scan = case
+    grid = grid.copy()
+    expected = grid.copy()
+    integrate_scan_per_beam(expected, robot, scan)
+    integrate_scan(grid, robot, scan)
+    assert np.array_equal(grid.cells, expected.cells)
 
 
 def test_morphology_stages_match_brute_force():

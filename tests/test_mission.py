@@ -4,7 +4,7 @@ import os
 import pytest
 
 from littersim.clusterfilter import FilterConfig
-from littersim.config import ConfigError, MissionConfig
+from littersim.config import ConfigError, MissionConfig, build_config
 from littersim.geometry import CameraModel, GroundPoint, Pose2D
 from littersim.gridmap import FREE, load_map
 from littersim.mission import (
@@ -89,6 +89,25 @@ def test_mission_dump_files(tmp_path):
     assert len(first) == 8
     float(first[0])
     assert first[4] in ("0", "1")
+
+
+def test_trajectory_keeps_every_pose_sample(tmp_path, monkeypatch):
+    # seed 3 runs for about 177 s, far past the 60 s lookup horizon
+    steps = []
+    step_world = World.step_world
+
+    def counting_step(world, cmd):
+        steps.append(world.t)
+        return step_world(world, cmd)
+
+    monkeypatch.setattr(World, "step_world", counting_step)
+    out = tmp_path / "run"
+    report = run_mission(build_config({"world.seed": ["3"]}, output_dir=str(out)))
+    assert report.wall_time > 120.0
+    lines = (out / "trajectory.txt").read_text(encoding="ascii").splitlines()
+    assert lines[0].split()[0] == "0.0"
+    assert len(lines) == len(steps) + 1
+    assert float(lines[-1].split()[0]) == report.wall_time
 
 
 def test_empty_trash_is_vacuous_success():
