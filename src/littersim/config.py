@@ -100,6 +100,19 @@ class MissionConfig:
             raise ConfigError("mission.inflate_radius: must be non-negative")
         if self.n_beams < 2:
             raise ConfigError("mission.n_beams: need at least 2 beams")
+        for name in (
+            "odom_noise_sigma",
+            "detect_pos_sigma",
+            "pixel_sigma",
+            "depth_sigma_per_meter",
+            "conf_sigma",
+            "false_positive_rate",
+            "detector_latency",
+            "comm_latency",
+        ):
+            value = getattr(self.noise, name)
+            if not value >= 0.0:
+                raise ConfigError(f"noise.{name}: must be non-negative, got {value!r}")
         for name in ("comm_drop", "p_detect_min", "p_detect_max"):
             value = getattr(self.noise, name)
             if not 0.0 <= value <= 1.0:

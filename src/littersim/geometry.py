@@ -39,7 +39,7 @@ def wrap_angle(a: float) -> float:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundPoint:
     """A point on the ground plane, map frame, meters."""
 
@@ -47,7 +47,7 @@ class GroundPoint:
     y: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose2D:
     """Planar pose (x, y, theta) with theta normalized on construction."""
 

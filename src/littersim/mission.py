@@ -589,7 +589,7 @@ class _Runner:
         points = [h.point for h in self.confirmed_list]
         if start is None:
             return {i: UNREACHABLE for i in range(len(points))}
-        tour = order_waypoints(start, points, self.nav_grid)
+        tour = order_waypoints(start, points, self.nav_grid, self.cost_field)
         # map tour entries back to hypothesis indices; order_waypoints
         # passes the point objects through untouched
         remaining = {id(p): i for i, p in enumerate(points)}

@@ -26,6 +26,10 @@ from .gridmap import FREE, OccupancyGrid, trace_cells
 
 SQRT2 = math.sqrt(2.0)
 COST_TIE = 1e-9
+_RIM = 1e-9  # distance band around the annulus bounds re-decided with math.hypot
+# approach_goal's first cost search stops this many cells' worth of path
+# past the nearest candidate's octile distance
+_LIMIT_MARGIN_CELLS = 10
 
 
 class StartOccupied(ValueError):
@@ -60,6 +64,9 @@ _OFFSETS = (
     (-1, 1, SQRT2),
     (-1, -1, SQRT2),
 )
+
+# CostField's neighbour order: increasing flat index row * width + col
+_CSR_OFFSETS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
 
 
 def astar(grid: OccupancyGrid, start: GroundPoint, goal: GroundPoint) -> PathPlan | None:
@@ -131,35 +138,45 @@ class CostField:
     fields per start cell; the costs agree with `astar` (same graph, same
     weights).  Used where a routine needs distances to many targets at
     once, which per-target A* would repeat needlessly.
+
+    The graph is a canonical CSR matrix over flat cell indices
+    `row * width + col`, built directly from the 8-neighbourhood: an edge
+    joins two Free neighbours and weighs one resolution straight or
+    sqrt(2) resolutions diagonal.  Each row lists its neighbours in
+    increasing flat index, `(dc, dr)` = (-1,-1), (0,-1), (1,-1), (-1,0),
+    (1,0), (-1,1), (0,1), (1,1), so the column indices are sorted without
+    a sort pass.  Index arrays are int32 whenever they fit.
     """
 
     def __init__(self, grid: OccupancyGrid):
         self.grid = grid
         W, H = grid.width, grid.height
-        free = (grid.cells == FREE).ravel()
-        rows = []
-        cols = []
-        data = []
-        idx = np.arange(W * H)
-        cgrid = idx % W
-        rgrid = idx // W
-        for dc, dr, step in _OFFSETS:
-            nc = cgrid + dc
-            nr = rgrid + dr
-            ok = (nc >= 0) & (nc < W) & (nr >= 0) & (nr < H)
-            nidx = nr * W + nc
-            ok &= free & free[np.where(ok, nidx, 0)]
-            rows.append(idx[ok])
-            cols.append(nidx[ok])
-            data.append(np.full(int(ok.sum()), step * grid.resolution))
         n = W * H
-        self._graph = csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
+        free = grid.cells == FREE
+        padded = np.zeros((H + 2, W + 2), dtype=bool)
+        padded[1:-1, 1:-1] = free
+        edges = np.empty((H, W, 8), dtype=bool)
+        for k, (dc, dr) in enumerate(_CSR_OFFSETS):
+            np.logical_and(
+                free, padded[1 + dr : 1 + dr + H, 1 + dc : 1 + dc + W], out=edges[:, :, k]
+            )
+        # slot 8 * cell + k holds the edge to the cell's k-th neighbour
+        slots = np.flatnonzero(edges)
+        index_dtype = np.int32 if 8 * n <= np.iinfo(np.int32).max else np.int64
+        indptr = np.searchsorted(slots, np.arange(0, 8 * n + 1, 8)).astype(index_dtype)
+        k = slots & 7
+        shifts = np.array([dr * W + dc for dc, dr in _CSR_OFFSETS], dtype=index_dtype)
+        indices = (slots >> 3).astype(index_dtype) + shifts[k]
+        steps = np.array([SQRT2 if dc and dr else 1.0 for dc, dr in _CSR_OFFSETS])
+        data = (steps * grid.resolution)[k]
+        self._graph = csr_matrix((data, indices, indptr), shape=(n, n))
 
-    def field(self, start: GroundPoint) -> np.ndarray:
+    def field(self, start: GroundPoint, limit: float = math.inf) -> np.ndarray:
         """Cost (meters) from start's cell to every cell, inf if unreachable.
+
+        With a finite `limit` the search stops there: cells costlier than
+        `limit` read inf, and every other cell has the same cost, bit for
+        bit, as without it.
 
         Raises:
             StartOccupied: when the start cell is off-grid or not Free.
@@ -167,23 +184,29 @@ class CostField:
         s = self.grid.world_to_cell(start.x, start.y)
         if s is None or self.grid.cells[s[1], s[0]] != FREE:
             raise StartOccupied(f"start {(start.x, start.y)} is not on a Free cell")
-        costs = _csgraph_dijkstra(self._graph, indices=s[1] * self.grid.width + s[0])
+        costs = _csgraph_dijkstra(
+            self._graph, indices=s[1] * self.grid.width + s[0], limit=limit
+        )
         return costs.reshape((self.grid.height, self.grid.width))
 
 
 def order_waypoints(
-    start: GroundPoint, trash: list[GroundPoint], grid: OccupancyGrid
+    start: GroundPoint,
+    trash: list[GroundPoint],
+    grid: OccupancyGrid,
+    cost_field: CostField | None = None,
 ) -> list[tuple[GroundPoint, bool]]:
     """Greedy nearest-first visit order by path cost.
 
     From the current position, repeatedly pick the unvisited point with the
     cheapest path cost (ties toward earlier input order).  Points whose
     cells are unreachable are flagged False and placed last, keeping their
-    input order.  Output length always equals the input length.
+    input order.  Output length always equals the input length.  Pass a
+    `cost_field` already built over `grid` to skip building another.
     """
     if not trash:
         return []
-    cf = CostField(grid)
+    cf = cost_field if cost_field is not None else CostField(grid)
     remaining = list(enumerate(trash))
     current = start
     ordered: list[tuple[GroundPoint, bool]] = []
@@ -225,15 +248,25 @@ def approach_goal(
     min_dist keeps the goal out of the camera's near-clip zone; callers
     that only need line of sight can leave it at zero.
 
+    The search is cost-ordered: reachable candidates are visited in
+    increasing path cost (a stable sort, so equal costs keep row-major
+    order) and the line of sight is traced only until the first candidate
+    passes.  Its cost is c*; the goal is then the lowest (row, col) among
+    passing candidates with cost below c* + COST_TIE.  Distinct
+    8-connected path costs lie far more than 2 * COST_TIE apart, so this
+    is exactly the row-major scan that keeps a candidate only when it
+    undercuts the best so far by COST_TIE.  Path costs are first searched
+    only a few cells past the nearest candidate's octile distance; when no
+    candidate within that limit passes, or c* + COST_TIE exceeds it, the
+    search is repeated without a limit.
+
     Raises:
         StartOccupied: when the robot cell is off-grid or not Free.
     """
     cf = cost_field if cost_field is not None else CostField(grid)
-    costs = cf.field(robot)
     res = grid.resolution
     tcell = grid.world_to_cell(trash.x, trash.y)
-    # candidates live in a small box around the trash; index math over that
-    # window beats allocating whole-grid masks per call
+    # candidates live in a small box around the trash
     rad_cells = int(math.ceil(standoff / res)) + 1
     if tcell is not None:
         c0 = max(0, tcell[0] - rad_cells)
@@ -242,28 +275,70 @@ def approach_goal(
         r1 = min(grid.height - 1, tcell[1] + rad_cells)
     else:
         c0, c1, r0, r1 = 0, grid.width - 1, 0, grid.height - 1
-    best: tuple[int, int] | None = None
-    best_cost = math.inf
-    for row in range(r0, r1 + 1):
-        for col in range(c0, c1 + 1):
-            if grid.cells[row, col] != FREE:
-                continue
-            cx, cy = grid.cell_center(col, row)
-            d = math.hypot(cx - trash.x, cy - trash.y)
-            if d > standoff or d < min_dist:
-                continue
-            c = float(costs[row, col])
-            if not (c < best_cost - COST_TIE):
-                continue
-            if not _line_of_sight(grid, cx, cy, trash, tcell):
-                continue
-            best = (col, row)
-            best_cost = c
-    if best is None:
+    rows, cols = np.nonzero(grid.cells[r0 : r1 + 1, c0 : c1 + 1] == FREE)
+    rows += r0
+    cols += c0
+    # same float expression as OccupancyGrid.cell_center, element by element
+    gx = (cols + 0.5) * res
+    gy = (rows + 0.5) * res
+    c = math.cos(grid.origin.theta)
+    s = math.sin(grid.origin.theta)
+    dx = grid.origin.x + c * gx - s * gy - trash.x
+    dy = grid.origin.y + s * gx + c * gy - trash.y
+    d = np.hypot(dx, dy)
+    inside = (d <= standoff) & (d >= min_dist)
+    # np.hypot may differ from math.hypot by an ulp: re-decide the rim
+    for i in np.flatnonzero(
+        (np.abs(d - standoff) <= _RIM) | (np.abs(d - min_dist) <= _RIM)
+    ).tolist():
+        di = math.hypot(float(dx[i]), float(dy[i]))
+        inside[i] = min_dist <= di <= standoff
+    rows, cols = rows[inside], cols[inside]
+    start = grid.world_to_cell(robot.x, robot.y)
+    if start is None or len(rows) == 0:
+        cf.field(robot, limit=0.0)  # raises StartOccupied for a bad start
         return None
-    bx, by = grid.cell_center(best[0], best[1])
+    seen: dict[int, bool] = {}
+
+    def sees(i: int) -> bool:
+        if i not in seen:
+            cx, cy = grid.cell_center(int(cols[i]), int(rows[i]))
+            seen[i] = _line_of_sight(grid, cx, cy, trash, tcell)
+        return seen[i]
+
+    for limit in (_first_cost_limit(res, start, rows, cols), math.inf):
+        cand_costs = cf.field(robot, limit)[rows, cols]
+        reachable = np.flatnonzero(np.isfinite(cand_costs))
+        order = reachable[np.argsort(cand_costs[reachable], kind="stable")]
+        sorted_costs = cand_costs[order]
+        k = next((k for k, i in enumerate(order.tolist()) if sees(i)), None)
+        # settled once the whole tie group of the first passing candidate
+        # lies within the limit
+        if k is not None and sorted_costs[k] + COST_TIE <= limit:
+            break
+    else:
+        return None
+    i = int(order[k])
+    # every candidate sorted before i failed; of those tied with i, try the
+    # ones earlier in row-major order, lowest first
+    end = int(np.searchsorted(sorted_costs, sorted_costs[k] + COST_TIE))
+    ties = sorted(j for j in order[k + 1 : end].tolist() if j < i)
+    best = next((j for j in ties if sees(j)), i)
+    bx, by = grid.cell_center(int(cols[best]), int(rows[best]))
     heading = math.atan2(trash.y - by, trash.x - bx)
     return NavGoal(Pose2D(bx, by, heading), trash)
+
+
+def _first_cost_limit(
+    res: float, start: tuple[int, int], rows: np.ndarray, cols: np.ndarray
+) -> float:
+    """Where approach_goal's first cost search stops: the octile distance
+    from the robot's cell to the nearest candidate, which no path beats,
+    plus a margin that usually covers the detour to the goal."""
+    dc = np.abs(cols - start[0])
+    dr = np.abs(rows - start[1])
+    octile = np.maximum(dc, dr) + (SQRT2 - 1.0) * np.minimum(dc, dr)
+    return res * (float(octile.min()) + _LIMIT_MARGIN_CELLS)
 
 
 def _line_of_sight(

@@ -26,7 +26,7 @@ class OutOfRange(KeyError):
     """Lookup outside the buffered time span; no extrapolation is done."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StampedPose:
     t: float
     pose: Pose2D

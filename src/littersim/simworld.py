@@ -35,7 +35,8 @@ TRASH_RADIUS = 0.1  # nominal object radius used for apparent size, meters
 
 class LayoutError(ValueError):
     """The world layout cannot be built: the spacing rules leave no room,
-    or an obstacle, item or start pose falls outside the arena."""
+    an obstacle, item or start pose falls outside the arena, or the start
+    pose lies inside an obstacle."""
 
 
 @dataclass(frozen=True)
@@ -291,8 +292,12 @@ class World:
                 raise LayoutError(
                     f"trash mass {item.mass} kg outside (0, {MAX_TRASH_MASS}]"
                 )
-        if not self.arena.contains(self.cfg.start.x, self.cfg.start.y):
+        start = self.cfg.start
+        if not self.arena.contains(start.x, start.y):
             raise LayoutError("start pose lies outside the arena")
+        for ob in self.obstacles:
+            if ob.contains(start.x, start.y):
+                raise LayoutError(f"start pose lies inside obstacle {ob}")
 
     # ------------------------------------------------------------------ #
     # kinematics

@@ -152,6 +152,15 @@ def test_unknown_override_key_exits_1(tmp_path, capsys):
     [
         ("noise.comm_drop = 3\n", "noise.comm_drop: must lie in [0, 1]"),
         ("noise.p_detect_min = 2\n", "noise.p_detect_min: must lie in [0, 1]"),
+        ("noise.pixel_sigma = -1\n", "noise.pixel_sigma: must be non-negative"),
+        ("noise.odom_noise_sigma = -1\n", "noise.odom_noise_sigma: must be non-negative"),
+        ("noise.false_positive_rate = -1\n", "noise.false_positive_rate: must be non-negative"),
+        ("noise.conf_sigma = -1\n", "noise.conf_sigma: must be non-negative"),
+        ("noise.detector_latency = -1\n", "noise.detector_latency: must be non-negative"),
+        (
+            "world.obstacle = 0.3 0.3 1.0 1.0\n",
+            "world layout: start pose lies inside obstacle",
+        ),
         ("world.obstacle_count = 60\n", "could not place obstacles"),
         ("world.arena_w = 0.5\n", "could not place obstacles"),
         (

@@ -150,6 +150,29 @@ def test_noise_probabilities_must_lie_in_unit_interval(key, value):
         build_config({key: [value]})
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        "noise.odom_noise_sigma",
+        "noise.detect_pos_sigma",
+        "noise.pixel_sigma",
+        "noise.depth_sigma_per_meter",
+        "noise.conf_sigma",
+        "noise.false_positive_rate",
+        "noise.detector_latency",
+        "noise.comm_latency",
+    ],
+)
+def test_noise_sigmas_rates_and_latencies_must_be_non_negative(key):
+    with pytest.raises(ConfigError, match=rf"^{key}: must be non-negative, got -1.0"):
+        build_config({key: ["-1"]})
+    with pytest.raises(ConfigError, match=rf"^{key}: must be non-negative"):
+        build_config({key: ["-1e-12"]})
+    # zero switches the noise source off and is fine
+    cfg = build_config({key: ["0"]})
+    assert getattr(cfg.noise, key.split(".")[1]) == 0.0
+
+
 def test_noise_detection_clamp_must_be_ordered():
     with pytest.raises(ConfigError, match=r"^noise.p_detect_min: 0.9 exceeds"):
         build_config({"noise.p_detect_min": ["0.9"], "noise.p_detect_max": ["0.5"]})

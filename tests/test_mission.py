@@ -91,6 +91,27 @@ def test_mission_dump_files(tmp_path):
     assert first[4] in ("0", "1")
 
 
+def test_collection_builds_one_cost_field(monkeypatch):
+    # order_waypoints and every approach_goal share the field collect builds
+    from littersim import planner
+
+    built = []
+    init = planner.CostField.__init__
+
+    def counting_init(self, grid):
+        built.append(grid)
+        init(self, grid)
+
+    monkeypatch.setattr(planner.CostField, "__init__", counting_init)
+    cfg = make_cfg(
+        trash=((GroundPoint(3.5, 3.0), 0.3), (GroundPoint(1.8, 2.6), 0.3)),
+        obstacles=(Rect(2.2, 1.0, 2.8, 1.6),),
+    )
+    report = run_mission(cfg)
+    assert report.n_collected == 2
+    assert len(built) == 1
+
+
 def test_trajectory_keeps_every_pose_sample(tmp_path, monkeypatch):
     # seed 3 runs for about 177 s, far past the 60 s lookup horizon
     steps = []

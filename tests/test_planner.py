@@ -1,12 +1,18 @@
 import heapq
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from littersim.geometry import GroundPoint, Pose2D
-from littersim.gridmap import FREE, OCCUPIED, OccupancyGrid
+from littersim import planner
+from littersim.gridmap import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, trace_cells
 from littersim.planner import (
+    COST_TIE,
     CostField,
     NavGoal,
     StartOccupied,
@@ -173,6 +179,81 @@ def test_cost_field_agrees_with_dijkstra_and_astar():
         CostField(g).field(GroundPoint(*g.cell_center(*occ_cell)))
 
 
+def test_cost_field_limit_keeps_costs_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        g = random_grid(rng, w=30, h=25, p_occ=0.2)
+        cells = free_cells(g)
+        start = GroundPoint(*g.cell_center(*cells[rng.integers(len(cells))]))
+        cf = CostField(g)
+        full = cf.field(start)
+        finite = np.sort(full[np.isfinite(full)])
+        # zero, exact costs (a cell right at the limit stays in), in between
+        for limit in (0.0, finite[len(finite) // 2], finite[-1], rng.uniform(0.0, 2.0)):
+            bounded = cf.field(start, float(limit))
+            within = full <= limit
+            assert bounded[within].tobytes() == full[within].tobytes()
+            assert np.isinf(bounded[~within]).all()
+
+
+def coo_cost_graph(grid):
+    """The cost graph as CostField built it before it wrote CSR directly:
+    one COO triple list per neighbour offset, converted by scipy."""
+    W, H = grid.width, grid.height
+    free = (grid.cells == FREE).ravel()
+    idx = np.arange(W * H)
+    cgrid = idx % W
+    rgrid = idx // W
+    rows, cols, data = [], [], []
+    for dc, dr in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
+        step = SQRT2 if dc and dr else 1.0
+        nc = cgrid + dc
+        nr = rgrid + dr
+        ok = (nc >= 0) & (nc < W) & (nr >= 0) & (nr < H)
+        nidx = nr * W + nc
+        ok &= free & free[np.where(ok, nidx, 0)]
+        rows.append(idx[ok])
+        cols.append(nidx[ok])
+        data.append(np.full(int(ok.sum()), step * grid.resolution))
+    n = W * H
+    return csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    )
+
+
+@pytest.mark.parametrize(
+    "shape,fill",
+    [
+        ((1, 1), "free"),
+        ((1, 17), "free"),
+        ((17, 1), "mixed"),
+        ((1, 17), "mixed"),
+        ((9, 12), "occupied"),
+        ((9, 12), "free"),
+        ((9, 12), "unknown"),
+        ((40, 30), "mixed"),
+        ((3, 200), "mixed"),
+    ],
+)
+def test_cost_field_csr_equals_coo_reference(shape, fill):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    if fill == "mixed":
+        cells = rng.choice(np.array([FREE, FREE, OCCUPIED, UNKNOWN], dtype=np.uint8), size=shape)
+    else:
+        value = {"free": FREE, "occupied": OCCUPIED, "unknown": UNKNOWN}[fill]
+        cells = np.full(shape, value, dtype=np.uint8)
+    g = grid_from(cells, resolution=0.07)
+    got = CostField(g)._graph
+    want = coo_cost_graph(g)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.indices.dtype == np.int32
+
+
 def order_oracle(grid, start, points):
     """Greedy nearest-first by path cost, ties toward earlier input order,
     unreachable appended last keeping input order."""
@@ -208,9 +289,11 @@ def test_order_waypoints_matches_greedy_oracle():
         picks = rng.choice(len(cells), size=5, replace=False)
         points = [GroundPoint(*g.cell_center(*cells[i])) for i in picks]
         got = order_waypoints(start, points, g)
+        shared = order_waypoints(start, points, g, cost_field=CostField(g))
         want = order_oracle(g, start, points)
         assert len(got) == len(points)
         assert [(p.x, p.y, f) for p, f in got] == [(p.x, p.y, f) for p, f in want]
+        assert shared == got
 
 
 def test_order_waypoints_unreachable_flagged_last_in_input_order():
@@ -264,9 +347,49 @@ def test_approach_goal_open_field_picks_near_side():
     assert (goal.target.x, goal.target.y) == (trash.x, trash.y)
 
 
-def test_approach_goal_matches_brute_scan():
-    from littersim.gridmap import trace_cells
+def dijkstra_field(grid, start_cell):
+    """dijkstra_costs as a [row, col] array, inf where unreachable."""
+    field = np.full((grid.height, grid.width), math.inf)
+    for (col, row), d in dijkstra_costs(grid, start_cell).items():
+        field[row, col] = d
+    return field
 
+
+def row_major_approach_goal(trash, grid, robot, standoff, min_dist, costs, tie=COST_TIE):
+    """approach_goal as a plain scan: every Free cell in row-major order,
+    kept when it lies in the [min_dist, standoff] annulus, undercuts the
+    best cost so far by `tie` and sees the trash.  `costs` is the path
+    cost field from the robot, indexed [row, col]."""
+    tcell = grid.world_to_cell(trash.x, trash.y)
+    best = None
+    best_cost = math.inf
+    for row in range(grid.height):
+        for col in range(grid.width):
+            if grid.cells[row, col] != FREE:
+                continue
+            cx, cy = grid.cell_center(col, row)
+            d = math.hypot(cx - trash.x, cy - trash.y)
+            if d > standoff or d < min_dist:
+                continue
+            c = float(costs[row, col])
+            if not (c < best_cost - tie):
+                continue
+            own = grid.world_to_cell(cx, cy)
+            if any(
+                grid.cells[cell[1], cell[0]] != FREE
+                for cell in trace_cells(grid, cx, cy, trash.x, trash.y)
+                if cell != own and cell != tcell
+            ):
+                continue
+            best = (col, row)
+            best_cost = c
+    if best is None:
+        return None
+    bx, by = grid.cell_center(*best)
+    return NavGoal(Pose2D(bx, by, math.atan2(trash.y - by, trash.x - bx)), trash)
+
+
+def test_approach_goal_matches_brute_scan():
     rng = np.random.default_rng(15)
     for _ in range(10):
         g = random_grid(rng, w=30, h=30, p_occ=0.15)
@@ -274,37 +397,156 @@ def test_approach_goal_matches_brute_scan():
         robot_cell = cells[rng.integers(len(cells))]
         robot = GroundPoint(*g.cell_center(*robot_cell))
         trash = GroundPoint(rng.uniform(0.2, 2.8), rng.uniform(0.2, 2.8))
-        dist = dijkstra_costs(g, robot_cell)
-        tcell = g.world_to_cell(trash.x, trash.y)
-        best = None
-        best_cost = math.inf
-        for row in range(g.height):
-            for col in range(g.width):
-                if g.cells[row, col] != FREE:
-                    continue
-                cx, cy = g.cell_center(col, row)
-                if math.hypot(cx - trash.x, cy - trash.y) > 2.0:
-                    continue
-                c = dist.get((col, row), math.inf)
-                if not (c < best_cost - 1e-9):
-                    continue
-                blocked = False
-                for cell in trace_cells(g, cx, cy, trash.x, trash.y):
-                    if cell == (col, row) or cell == tcell:
-                        continue
-                    if g.cells[cell[1], cell[0]] != FREE:
-                        blocked = True
-                        break
-                if blocked:
-                    continue
-                best = (col, row)
-                best_cost = c
-        goal = approach_goal(trash, g, robot, standoff=2.0)
-        if best is None:
-            assert goal is None
-        else:
-            assert goal is not None
-            assert g.world_to_cell(goal.pose.x, goal.pose.y) == best
+        want = row_major_approach_goal(trash, g, robot, 2.0, 0.0, dijkstra_field(g, robot_cell))
+        assert approach_goal(trash, g, robot, standoff=2.0) == want
+
+
+def test_approach_goal_breaks_near_ties_toward_lower_row_col():
+    # scipy sums the costs of equally long paths in different orders, so
+    # cells of equal true cost can differ in the last bits; the cell with
+    # the smaller float may come later in row-major order, and the goal
+    # must still be the row-major first of the tie
+    rng = np.random.default_rng(11)
+    near_ties = 0
+    for _ in range(3000):
+        res = float(rng.choice([0.05, 0.1, 0.07]))
+        g = random_grid(rng, w=24, h=24, p_occ=0.05, resolution=res)
+        cells = free_cells(g)
+        robot = GroundPoint(*g.cell_center(*cells[rng.integers(len(cells))]))
+        trash = GroundPoint(rng.uniform(0, 24 * res), rng.uniform(0, 24 * res))
+        standoff = rng.uniform(2, 10) * res
+        field = CostField(g).field(robot)
+        want = row_major_approach_goal(trash, g, robot, standoff, 0.0, field)
+        assert approach_goal(trash, g, robot, standoff) == want
+        cheapest = row_major_approach_goal(trash, g, robot, standoff, 0.0, field, tie=0.0)
+        if cheapest == want:
+            continue
+        near_ties += 1
+        # a first, bounded cost search that stops inside the tie group
+        # must not settle on the cheaper, later cell
+        lo = field[g.world_to_cell(cheapest.pose.x, cheapest.pose.y)[::-1]]
+        hi = field[g.world_to_cell(want.pose.x, want.pose.y)[::-1]]
+        assert lo < hi < lo + COST_TIE
+        for limit in (lo, np.nextafter(hi, -math.inf)):
+            with mock.patch.object(planner, "_first_cost_limit", lambda *_: float(limit)):
+                assert approach_goal(trash, g, robot, standoff) == want
+        if near_ties == 3:
+            break
+    assert near_ties == 3
+
+
+@pytest.mark.parametrize(
+    "cell,trash,bound",
+    [
+        # np.hypot puts these cell centers an ulp farther from / nearer to
+        # the trash than math.hypot does
+        ((24, 17), GroundPoint(2.153272459607389, 0.5976728941074669), "standoff"),
+        ((25, 24), GroundPoint(1.9300299928618294, 2.038675268634506), "min_dist"),
+    ],
+)
+def test_approach_goal_decides_the_rim_with_math_hypot(cell, trash, bound):
+    g = grid_from(np.full((30, 30), FREE, dtype=np.uint8))
+    robot = GroundPoint(*g.cell_center(*cell))
+    d = math.hypot(robot.x - trash.x, robot.y - trash.y)
+    standoff, min_dist = (d, 0.0) if bound == "standoff" else (2.0, d)
+    goal = approach_goal(trash, g, robot, standoff, min_dist)
+    # the robot's own cell is on the rim by math.hypot and costs nothing
+    assert g.world_to_cell(goal.pose.x, goal.pose.y) == cell
+    want = row_major_approach_goal(
+        trash, g, robot, standoff, min_dist, dijkstra_field(g, cell)
+    )
+    assert goal == want
+
+
+_ORIGIN_ANGLES = st.one_of(
+    st.just(0.0),
+    st.sampled_from([math.pi / 2, math.pi / 4, -2.0]),
+    st.floats(-math.pi, math.pi),
+)
+
+
+@st.composite
+def _approach_case(draw):
+    res = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    width = draw(st.integers(1, 32))
+    height = draw(st.integers(1, 32))
+    origin = Pose2D(
+        draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
+        draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
+        draw(_ORIGIN_ANGLES),
+    )
+    grid = OccupancyGrid(width, height, res, origin)
+    grid.cells[:] = FREE
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.0, 0.05, 0.15, 0.3, 0.5]))
+    grid.cells[rng.random((height, width)) < density] = OCCUPIED
+
+    def grid_coord(n):
+        # a cell corner or gridline, a hair off one, a cell center, or
+        # anywhere in and around the grid (off it included)
+        return draw(st.one_of(
+            st.integers(0, n).map(float),
+            st.tuples(st.integers(0, n), st.floats(-1e-3, 1e-3)).map(sum),
+            st.integers(0, n - 1).map(lambda k: k + 0.5),
+            st.floats(-0.3 * n, 1.3 * n),
+        ))
+
+    tx, ty = grid_coord(width), grid_coord(height)
+    if draw(st.booleans()):
+        # a sealed pocket: a one-cell ring around the trash, or around the
+        # nearest cell when the trash is off the grid
+        half = draw(st.integers(1, 4))
+        col = min(max(math.floor(tx), 0), width - 1)
+        row = min(max(math.floor(ty), 0), height - 1)
+        c0, c1 = max(col - half, 0), min(col + half, width - 1)
+        r0, r1 = max(row - half, 0), min(row + half, height - 1)
+        grid.cells[r0 : r1 + 1, [c0, c1]] = OCCUPIED
+        grid.cells[[r0, r1], c0 : c1 + 1] = OCCUPIED
+    c, s = math.cos(origin.theta), math.sin(origin.theta)
+    gx, gy = tx * res, ty * res
+    trash = GroundPoint(origin.x + c * gx - s * gy, origin.y + s * gx + c * gy)
+    free = np.flatnonzero(grid.cells.ravel() == FREE)
+    assume(len(free) > 0)
+    robot_cell = divmod(int(free[draw(st.integers(0, len(free) - 1))]), width)[::-1]
+    # whole multiples of the resolution put cell centers exactly on the rim
+    standoff = draw(st.one_of(
+        st.integers(1, 12).map(lambda k: k * res),
+        st.integers(1, 12).map(lambda k: k * res * SQRT2),
+        st.floats(0.05, 3.0),
+    ))
+    min_dist = draw(st.one_of(
+        st.just(0.0),
+        st.integers(1, 8).map(lambda k: k * res),
+        st.floats(0.0, 1.0).map(lambda f: f * standoff),
+        st.just(standoff),
+    ))
+    # the first, bounded cost search: a zero margin often cuts through
+    # the goal's tie group and forces the unbounded retry
+    margin = draw(st.sampled_from([0, 1, planner._LIMIT_MARGIN_CELLS]))
+    return grid, robot_cell, trash, standoff, min_dist, margin
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_approach_case())
+# an open field: every cell on a ring around the robot ties on cost
+@example((
+    grid_from(np.full((21, 21), FREE, dtype=np.uint8)),
+    (10, 10),
+    GroundPoint(1.05, 1.05),
+    0.5,
+    0.3,
+    0,
+))
+def test_approach_goal_equals_row_major_reference(case):
+    grid, robot_cell, trash, standoff, min_dist, margin = case
+    robot = GroundPoint(*grid.cell_center(*robot_cell))
+    want = row_major_approach_goal(
+        trash, grid, robot, standoff, min_dist, dijkstra_field(grid, robot_cell)
+    )
+    with mock.patch.object(planner, "_LIMIT_MARGIN_CELLS", margin):
+        assert approach_goal(trash, grid, robot, standoff, min_dist) == want
+        field = CostField(grid)
+        assert approach_goal(trash, grid, robot, standoff, min_dist, cost_field=field) == want
 
 
 def test_approach_goal_sees_through_exempt_trash_cell():

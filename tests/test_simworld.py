@@ -9,6 +9,7 @@ from littersim.pickup import MotionCommand
 from littersim.simworld import (
     MAX_TRASH_MASS,
     DelayQueue,
+    LayoutError,
     NoiseModel,
     Rect,
     World,
@@ -198,6 +199,26 @@ def test_world_validation_rejects_bad_layouts():
         WorldConfig(trash_count=-1)
     with pytest.raises(ValueError):
         Rect(1.0, 1.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        Rect(0.3, 0.3, 1.0, 1.0),  # around the default start (0.6, 0.6)
+        Rect(0.6, 0.2, 1.5, 1.0),  # start on its edge, which already collides
+    ],
+)
+def test_world_rejects_a_start_pose_inside_an_obstacle(box):
+    with pytest.raises(LayoutError, match="start pose lies inside obstacle"):
+        World(WorldConfig(obstacles=(box,), trash=()), NoiseModel.zero())
+    # just outside the box is a valid start
+    outside = Pose2D(box.x1 + 0.01, 0.6, 0.0)
+    World(WorldConfig(obstacles=(box,), trash=(), start=outside), NoiseModel.zero())
+
+
+def test_seeded_layouts_never_cover_the_start():
+    for seed in range(50):
+        World(WorldConfig(seed=seed), NoiseModel.zero())
 
 
 def test_detect_zero_noise_is_exact():
