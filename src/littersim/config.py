@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .clusterfilter import FilterConfig
 from .geometry import CameraModel, GroundPoint, Pose2D
 from .pickup import ACTIVATION_RADIUS, PickupConfig
-from .simworld import NoiseModel, Rect, WorldConfig
+from .simworld import PHANTOM_MAX_HALF, NoiseModel, Rect, WorldConfig
 
 SCENARIOS = ("full", "pickup_trial")
 
@@ -122,6 +122,14 @@ class MissionConfig:
                 f"noise.p_detect_min: {self.noise.p_detect_min!r} exceeds "
                 f"noise.p_detect_max {self.noise.p_detect_max!r}"
             )
+        # a phantom detector box must fit inside the image both ways
+        min_pixels = 2.0 * PHANTOM_MAX_HALF
+        for name in ("image_width", "image_height"):
+            value = getattr(self.camera, name)
+            if value < min_pixels:
+                raise ConfigError(
+                    f"camera.{name}: must be at least {min_pixels:g} px, got {value!r}"
+                )
         if self.trial_distance > ACTIVATION_RADIUS + 0.25:
             raise ConfigError(
                 "mission.trial_distance: exceeds the pickup activation radius "

@@ -47,20 +47,34 @@ class GroundPoint:
     y: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Pose2D:
-    """Planar pose (x, y, theta) with theta normalized on construction."""
+    """Planar pose (x, y, theta) with theta normalized on construction.
+
+    Poses are built on every simulation tick, so `__init__` wraps theta
+    before its one store and writes each field once through its slot
+    descriptor; equality, repr, hash and `dataclasses.replace` are the
+    dataclass's own.
+    """
 
     x: float
     y: float
     theta: float = 0.0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", wrap_angle(self.theta))
+    def __init__(self, x: float, y: float, theta: float = 0.0) -> None:
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_theta(self, wrap_angle(theta))
 
     @property
     def position(self) -> GroundPoint:
         return GroundPoint(self.x, self.y)
+
+
+# slot descriptors store without the frozen dataclass's __setattr__ guard
+_set_x = Pose2D.__dict__["x"].__set__
+_set_y = Pose2D.__dict__["y"].__set__
+_set_theta = Pose2D.__dict__["theta"].__set__
 
 
 @dataclass(frozen=True)

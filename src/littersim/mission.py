@@ -190,7 +190,9 @@ class _Runner:
         self.grid = OccupancyGrid(w, h, cfg.map_resolution, Pose2D(0.0, 0.0, 0.0))
         self.nav_grid: OccupancyGrid | None = None
         self.cost_field: CostField | None = None
-        self.episode_logs: list[list[str]] = []
+        # one raw (t, phase, v, omega, mechanism_on, x, y, theta) row per
+        # pickup tick; formatted only when dumped
+        self.episode_logs: list[list[tuple]] = []
         self._next_scan = 0.0
         self._next_frame = 0.0
 
@@ -466,7 +468,7 @@ class _Runner:
 
     def _pickup_episode(self, state, expected: GroundPoint) -> PickupPhase:
         """Run one pickup FSM episode to a terminal phase (or the hard
-        cap), logging every step."""
+        cap), logging every step as a raw tuple."""
         cfg = self.cfg
         dt = cfg.world.dt
         t0 = self.world.t
@@ -476,7 +478,7 @@ class _Runner:
             + 2.0 * math.pi / cfg.pickup.spin_rate
             + 5.0
         )
-        log: list[str] = []
+        log: list[tuple] = []
         while state.phase not in (PickupPhase.DONE, PickupPhase.TIMED_OUT):
             if self.world.t - t0 >= cap or self._out_of_time():
                 break
@@ -489,8 +491,7 @@ class _Runner:
             state, cmd = pickup_step(state, self.pose, detections, cfg.pickup, dt)
             p = self.pose
             log.append(
-                f"{self.world.t!r} {state.phase.value} {cmd.v!r} {cmd.omega!r} "
-                f"{1 if cmd.mechanism_on else 0} {p.x!r} {p.y!r} {p.theta!r}"
+                (self.world.t, state.phase, cmd.v, cmd.omega, cmd.mechanism_on, p.x, p.y, p.theta)
             )
             self._step(cmd, mapping=False)
         self.episode_logs.append(log)
@@ -658,9 +659,11 @@ class _Runner:
                 )
         for i, log in enumerate(self.episode_logs):
             with open(os.path.join(out_dir, f"episode_{i:02d}.txt"), "w", encoding="utf-8") as fh:
-                fh.write("\n".join(log))
-                if log:
-                    fh.write("\n")
+                for t, phase, v, omega, mech, x, y, theta in log:
+                    fh.write(
+                        f"{t!r} {phase.value} {v!r} {omega!r} "
+                        f"{1 if mech else 0} {x!r} {y!r} {theta!r}\n"
+                    )
 
 
 def write_report(report: MissionReport, path: str) -> None:

@@ -76,6 +76,9 @@ class PickupConfig:
             raise ValueError("confidence_threshold must lie in [0, 1]")
         if self.overshoot < 0.0 or self.brush_halfwidth <= 0.0:
             raise ValueError("overshoot must be >= 0 and brush_halfwidth > 0")
+        if not self.align_tolerance > 0.0:
+            # ALIGN could never finish, so every episode would time out
+            raise ValueError(f"align_tolerance must be positive, got {self.align_tolerance!r}")
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ inserts.  No locking is provided here.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from .geometry import Pose2D, wrap_angle
 
@@ -38,25 +39,32 @@ class PoseBuffer:
     Entries are kept strictly increasing in time.  On every insert, entries
     older than `newest.t - horizon` are evicted, so the span never exceeds
     the retention horizon (60 s by default).
+
+    Entries live in two parallel lists, stamps and stamped poses, searched
+    with `bisect`.  Evicted entries stay below a head index until they
+    outnumber the live ones and are then dropped in one slice, so eviction
+    costs O(1) amortized.
     """
 
     def __init__(self, horizon: float = 60.0):
         if horizon <= 0.0:
             raise ValueError("horizon must be positive")
         self.horizon = horizon
-        self._entries: deque[StampedPose] = deque()
+        self._stamps: list[float] = []
+        self._entries: list[StampedPose] = []
+        self._head = 0  # index of the oldest live entry
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) - self._head
 
     def __iter__(self) -> Iterator[StampedPose]:
-        return iter(self._entries)
+        return islice(self._entries, self._head, None)
 
     def span(self) -> tuple[float, float] | None:
         """(oldest stamp, newest stamp), or None when empty."""
-        if not self._entries:
+        if not self._stamps:
             return None
-        return self._entries[0].t, self._entries[-1].t
+        return self._stamps[self._head], self._stamps[-1]
 
     def insert(self, sp: StampedPose) -> None:
         """Append a pose; stamps must be strictly increasing.
@@ -64,14 +72,20 @@ class PoseBuffer:
         Raises:
             NonMonotonicTime: if sp.t <= the newest stored stamp.
         """
-        if self._entries and sp.t <= self._entries[-1].t:
-            raise NonMonotonicTime(
-                f"stamp {sp.t!r} is not after newest {self._entries[-1].t!r}"
-            )
+        stamps = self._stamps
+        if stamps and sp.t <= stamps[-1]:
+            raise NonMonotonicTime(f"stamp {sp.t!r} is not after newest {stamps[-1]!r}")
+        stamps.append(sp.t)
         self._entries.append(sp)
         cutoff = sp.t - self.horizon
-        while self._entries[0].t < cutoff:
-            self._entries.popleft()
+        head = self._head
+        while stamps[head] < cutoff:
+            head += 1
+        if 2 * head > len(stamps):
+            del stamps[:head]
+            del self._entries[:head]
+            head = 0
+        self._head = head
 
     def pose_at(self, t: float) -> Pose2D:
         """Interpolated pose at time t.
@@ -83,22 +97,18 @@ class PoseBuffer:
             OutOfRange: if t falls outside [oldest.t, newest.t] or the
                 buffer is empty.
         """
-        if not self._entries:
+        stamps = self._stamps
+        if not stamps:
             raise OutOfRange("buffer is empty")
-        first = self._entries[0]
-        last = self._entries[-1]
-        if t < first.t or t > last.t:
-            raise OutOfRange(f"t={t!r} outside buffered span [{first.t!r}, {last.t!r}]")
-        # binary search over the deque via index; deque indexing is O(n) but
-        # buffers stay short-lived and lookups land near the tail in practice
+        first = stamps[self._head]
+        last = stamps[-1]
+        if t < first or t > last:
+            raise OutOfRange(f"t={t!r} outside buffered span [{first!r}, {last!r}]")
+        # a bracketing pair: lo is the newest entry at or before t, hi the
+        # one after it (lo, hi are the last pair when t is the newest stamp)
+        hi = min(bisect_right(stamps, t, self._head), len(stamps) - 1)
+        lo = max(hi - 1, self._head)
         entries = self._entries
-        lo, hi = 0, len(entries) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if entries[mid].t <= t:
-                lo = mid
-            else:
-                hi = mid
         a = entries[lo]
         if t == a.t:
             return a.pose

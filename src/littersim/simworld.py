@@ -31,6 +31,9 @@ from .clusterfilter import RawDetection
 
 MAX_TRASH_MASS = 0.64  # kg; heavier items jam the collection mechanism
 TRASH_RADIUS = 0.1  # nominal object radius used for apparent size, meters
+# largest half-size of a phantom detector box, pixels; the image must be at
+# least twice this wide and tall for a phantom to fit
+PHANTOM_MAX_HALF = 24.0
 
 
 class LayoutError(ValueError):
@@ -168,17 +171,28 @@ class RobotState:
 
 class DelayQueue:
     """FIFO that releases items once their ready time has passed.  Models
-    the detector pipeline latency between frame capture and delivery."""
+    the detector pipeline latency between frame capture and delivery.
+
+    Items may be pushed out of ready-time order; `pop_ready` releases every
+    ready item in push order.  The queue keeps its earliest ready time, so
+    a call before it returns at once without touching the list.
+    """
 
     def __init__(self) -> None:
         self._items: list[tuple[float, object]] = []
+        self._earliest = math.inf
 
     def push(self, ready_t: float, item: object) -> None:
         self._items.append((ready_t, item))
+        if ready_t < self._earliest:
+            self._earliest = ready_t
 
     def pop_ready(self, now: float) -> list[object]:
+        if now < self._earliest:
+            return []
         out = [item for ready, item in self._items if ready <= now]
         self._items = [(ready, item) for ready, item in self._items if ready > now]
+        self._earliest = min((ready for ready, _ in self._items), default=math.inf)
         return out
 
 
@@ -272,6 +286,18 @@ class World:
         self.obstacles = obstacles
         self.trash = [TrashItem(p, m) for p, m in trash]
         self._validate()
+        # the layout is fixed from here on: obstacle bounds for the per-tick
+        # contact test, and slab bounds of the arena (box 0) and every
+        # obstacle for the ray cast, indexed [low/high side, x/y axis, box, 1]
+        self._obstacle_bounds = tuple((ob.x0, ob.y0, ob.x1, ob.y1) for ob in obstacles)
+        boxes = (self.arena, *obstacles)
+        self._slabs = np.array(
+            [
+                [[b.x0 for b in boxes], [b.y0 for b in boxes]],
+                [[b.x1 for b in boxes], [b.y1 for b in boxes]],
+            ]
+        )[..., None]
+        self._bearings: dict[tuple[float, int], tuple[np.ndarray, list[float]]] = {}
         self.robot = RobotState(cfg.start, cfg.start)
         self.t = 0.0
         self.last_contact = False
@@ -303,15 +329,24 @@ class World:
     # kinematics
 
     def _collides(self, x: float, y: float) -> bool:
-        if not self.arena.contains(x, y):
+        """Outside the closed arena or inside a closed obstacle rectangle,
+        with the comparisons of `Rect.contains`."""
+        arena = self.arena
+        if not (arena.x0 <= x <= arena.x1 and arena.y0 <= y <= arena.y1):
             return True
-        return any(ob.contains(x, y) for ob in self.obstacles)
+        for x0, y0, x1, y1 in self._obstacle_bounds:
+            if x0 <= x <= x1 and y0 <= y <= y1:
+                return True
+        return False
 
     def step_world(self, cmd) -> None:
         """Advance one tick of cfg.dt under a MotionCommand-like object.
 
         True pose: exact unicycle integration, stopped at obstacle contact
-        by bisecting the tick down to the contact fraction.  Believed pose:
+        by bisecting the tick down to the contact fraction.  The bisection
+        probes compute x and y with `_advance`'s expressions, in the same
+        order, on plain floats, so they land on the same bits without a
+        Pose2D per probe.  Believed pose:
         same integrator over the noisy, biased command, scaled by the same
         contact fraction (stalled wheels do not advance odometry).  With
         the mechanism on, any uncollected trash within brush_halfwidth of
@@ -326,11 +361,24 @@ class World:
         self.last_contact = False
         if self._collides(nxt.x, nxt.y):
             self.last_contact = True
+            ox, oy, th = old.x, old.y, old.theta
+            sin_th, cos_th = math.sin(th), math.cos(th)
+            straight = abs(omega) < 1e-9
+            if not straight:
+                r = v / omega
+            collides = self._collides
             lo, hi = 0.0, 1.0
             for _ in range(40):
                 mid = 0.5 * (lo + hi)
-                p = _advance(old, v, omega, mid * dt)
-                if self._collides(p.x, p.y):
+                h = mid * dt
+                if straight:
+                    px = ox + v * h * cos_th
+                    py = oy + v * h * sin_th
+                else:
+                    th1 = th + omega * h
+                    px = ox + r * (math.sin(th1) - sin_th)
+                    py = oy - r * (math.cos(th1) - cos_th)
+                if collides(px, py):
                     hi = mid
                 else:
                     lo = mid
@@ -367,36 +415,41 @@ class World:
 
     def _ray_ranges(self, ox: float, oy: float, angles: np.ndarray) -> np.ndarray:
         """Distance to the nearest structure (obstacle face or arena wall)
-        along each angle.  Origin must be inside the arena."""
-        dx = np.cos(angles)
-        dy = np.sin(angles)
-        dx = np.where(np.abs(dx) < 1e-12, 1e-12, dx)
-        dy = np.where(np.abs(dy) < 1e-12, 1e-12, dy)
-        # arena: the ray starts inside, so the exit is the min positive slab exit
-        tx = np.maximum((self.arena.x0 - ox) / dx, (self.arena.x1 - ox) / dx)
-        ty = np.maximum((self.arena.y0 - oy) / dy, (self.arena.y1 - oy) / dy)
-        best = np.minimum(tx, ty)
-        for ob in self.obstacles:
-            t1x = (ob.x0 - ox) / dx
-            t2x = (ob.x1 - ox) / dx
-            t1y = (ob.y0 - oy) / dy
-            t2y = (ob.y1 - oy) / dy
-            tmin = np.maximum(np.minimum(t1x, t2x), np.minimum(t1y, t2y))
-            tmax = np.minimum(np.maximum(t1x, t2x), np.maximum(t1y, t2y))
-            hit = (tmax >= tmin) & (tmax > 0.0)
-            entry = np.where(tmin > 0.0, tmin, np.inf)
-            best = np.where(hit, np.minimum(best, entry), best)
-        return best
+        along each angle.  Origin must be inside the arena.
+
+        Every ray meets the arena and every obstacle in one
+        (box, ray) slab test.  Each element is computed as a loop over
+        obstacles would compute it, and the nearest obstacle entry is an
+        exact min over obstacles, so the ranges are bitwise those of the
+        loop and do not depend on how rays are grouped into calls."""
+        d = np.array([np.cos(angles), np.sin(angles)])
+        d = np.where(np.abs(d) < 1e-12, 1e-12, d)
+        t = (self._slabs - np.array([ox, oy])[:, None, None]) / d[:, None, :]
+        near = np.minimum(t[0], t[1])
+        far = np.maximum(t[0], t[1])
+        tmin = np.maximum(near[0], near[1])
+        tmax = np.minimum(far[0], far[1])
+        # the ray starts inside the arena, so its exit is the arena's tmax
+        exit_range = tmax[0]
+        tmin, tmax = tmin[1:], tmax[1:]
+        hit = (tmax >= tmin) & (tmax > 0.0) & (tmin > 0.0)
+        entry = np.where(hit, tmin, np.inf).min(axis=0, initial=np.inf)
+        return np.minimum(exit_range, entry)
 
     def scan(self, cam: CameraModel, n_beams: int = 32, max_range: float = 3.5) -> list[tuple[float, float, float]]:
         """Forward range scan over the camera's horizontal FOV, cast from
         the robot base.  Entries are (bearing, range, max_range) with range
         capped at max_range (a capped ray means no hit)."""
         pose = self.robot.true_pose
-        bearings = np.linspace(-0.5 * cam.hfov, 0.5 * cam.hfov, n_beams)
+        key = (cam.hfov, n_beams)
+        cached = self._bearings.get(key)
+        if cached is None:
+            bearings = np.linspace(-0.5 * cam.hfov, 0.5 * cam.hfov, n_beams)
+            cached = self._bearings[key] = (bearings, bearings.tolist())
+        bearings, bearing_list = cached
         dists = self._ray_ranges(pose.x, pose.y, pose.theta + bearings)
         dists = np.minimum(dists, max_range)
-        return [(float(b), float(d), max_range) for b, d in zip(bearings, dists)]
+        return [(b, d, max_range) for b, d in zip(bearing_list, dists.tolist())]
 
     def detect(
         self,
@@ -413,12 +466,17 @@ class World:
         Boxes that would clip the image edge are not emitted.  Poisson
         false positives at false_positive_rate per second are appended
         with uniform position, depth, and score.
+
+        The occlusion rays of all in-frustum items are cast together in
+        one `_ray_ranges` call; the items are then visited in trash order,
+        so the generator is drawn in the same order as item by item.
         """
         nz = self.noise
         pose = self.robot.true_pose
         cam_x = pose.x + math.cos(pose.theta) * cam.forward_offset
         cam_y = pose.y + math.sin(pose.theta) * cam.forward_offset
-        out: list[BoundingBox] = []
+        seen: list[tuple[float, tuple[float, float, float]]] = []
+        angles: list[float] = []
         for item in self.trash:
             if item.collected:
                 continue
@@ -428,19 +486,23 @@ class World:
             pix = ground_point_to_pixel(pose, item.position, cam)
             if pix is None:
                 continue
-            ang = math.atan2(item.position.y - cam_y, item.position.x - cam_x)
-            hit = float(self._ray_ranges(cam_x, cam_y, np.array([ang]))[0])
-            if hit < gr - 1e-9:
-                continue  # occluded
-            if self.rng.uniform() >= nz.p_detect(gr):
-                continue
-            box = self._render_box(pix, gr, cam)
-            if box is not None:
-                out.append(box)
+            seen.append((gr, pix))
+            angles.append(math.atan2(item.position.y - cam_y, item.position.x - cam_x))
+        out: list[BoundingBox] = []
+        if seen:
+            hits = self._ray_ranges(cam_x, cam_y, np.array(angles)).tolist()
+            for (gr, pix), hit in zip(seen, hits):
+                if hit < gr - 1e-9:
+                    continue  # occluded
+                if self.rng.uniform() >= nz.p_detect(gr):
+                    continue
+                box = self._render_box(pix, gr, cam)
+                if box is not None:
+                    out.append(box)
         if nz.false_positive_rate > 0.0 and frame_dt > 0.0:
             k = int(self.rng.poisson(nz.false_positive_rate * frame_dt))
             for _ in range(k):
-                half = self.rng.uniform(4.0, 24.0)
+                half = self.rng.uniform(4.0, PHANTOM_MAX_HALF)
                 u = self.rng.uniform(half, cam.image_width - half)
                 v = self.rng.uniform(0.5 * cam.image_height, cam.image_height - half)
                 depth = self.rng.uniform(cam.mount_height + 0.1, detect_max_range)
@@ -479,7 +541,10 @@ class World:
 
 
 def _advance(pose: Pose2D, v: float, omega: float, dt: float) -> Pose2D:
-    """Exact unicycle step: straight line for omega ~ 0, circle arc else."""
+    """Exact unicycle step: straight line for omega ~ 0, circle arc else.
+
+    `World.step_world`'s contact bisection repeats these x and y
+    expressions inline; a change here must be made there too."""
     if abs(omega) < 1e-9:
         return Pose2D(
             pose.x + v * dt * math.cos(pose.theta),

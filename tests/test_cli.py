@@ -167,6 +167,9 @@ def test_unknown_override_key_exits_1(tmp_path, capsys):
             "world.arena_w = 0.5\nworld.obstacle_count = 0\n",
             "arena too small to keep trash",
         ),
+        ("camera.image_width = 40\n", "camera.image_width: must be at least 48 px"),
+        ("camera.image_height = 40\n", "camera.image_height: must be at least 48 px"),
+        ("pickup.align_tolerance = -1\n", "align_tolerance must be positive"),
     ],
 )
 @pytest.mark.parametrize("command", ["run", "map", "batch"])

@@ -217,3 +217,21 @@ def test_start_pose_keys():
     assert cfg.world.start.x == 1.5
     assert cfg.world.start.y == 2.5
     assert cfg.world.start.theta == pytest.approx(math.pi / 2)
+
+
+@pytest.mark.parametrize("key", ["camera.image_width", "camera.image_height"])
+def test_camera_image_must_fit_a_phantom_box(key):
+    # phantom boxes have half-sizes up to PHANTOM_MAX_HALF = 24 px
+    with pytest.raises(ConfigError, match=rf"^{key}: must be at least 48 px, got 40$"):
+        build_config({key: ["40"]})
+    with pytest.raises(ConfigError, match=rf"^{key}: must be at least 48 px, got 47$"):
+        build_config({key: ["47"]})
+    cfg = build_config({key: ["48"]})
+    assert getattr(cfg.camera, key.split(".")[1]) == 48
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "-1e-12"])
+def test_pickup_align_tolerance_must_be_positive(value):
+    with pytest.raises(ConfigError, match=r"^align_tolerance must be positive, got "):
+        build_config({"pickup.align_tolerance": [value]})
+    assert build_config({"pickup.align_tolerance": ["1e-6"]}).pickup.align_tolerance == 1e-6

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -44,6 +45,22 @@ def test_pose_normalizes_theta_on_construction():
     p = Pose2D(1.0, 2.0, 5.0 * math.pi)
     assert abs(p.theta - math.pi) < 1e-12
     assert p.position == GroundPoint(1.0, 2.0)
+
+
+def test_pose_keeps_its_dataclass_behaviour():
+    for theta in (0.0, -0.0, math.pi, -math.pi, 7.5, -1e300, 3.0 * math.pi):
+        p = Pose2D(1.5, -2.0, theta)
+        assert repr(p.theta) == repr(wrap_angle(theta))
+    p = Pose2D(x=1.0, y=2.0, theta=7.0)
+    assert p == Pose2D(1.0, 2.0, 7.0) and hash(p) == hash(Pose2D(1.0, 2.0, 7.0))
+    assert repr(p) == f"Pose2D(x=1.0, y=2.0, theta={wrap_angle(7.0)!r})"
+    assert Pose2D(1.0, 2.0) == Pose2D(1.0, 2.0, 0.0)
+    assert dataclasses.replace(p, theta=-7.0) == Pose2D(1.0, 2.0, -7.0)
+    assert dataclasses.replace(p, x=3.0) == Pose2D(3.0, 2.0, 7.0)
+    assert dataclasses.astuple(p) == (1.0, 2.0, wrap_angle(7.0))
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.theta = 0.0
 
 
 def test_compose_inverse_identity():

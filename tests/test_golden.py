@@ -1,9 +1,11 @@
 """Golden-digest lock: fixed seeds must keep producing the same bytes.
 
-Criterion 11 only compares a run with itself; these digests pin the dump
-files against the code as it was recorded, so a refactor that changes any
-byte of a report, map or hypothesis list fails here.  A deliberate change
-of output updates the digests and names the change in CHANGES.md.
+Criterion 11 only compares a run with itself; these digests pin every dump
+file against the code as it was recorded, so a refactor that changes any
+byte of a report, map, hypothesis list, trajectory, ground truth or pickup
+episode log fails here, as does a run that writes one file more or fewer.
+A deliberate change of output updates the digests and names the change in
+CHANGES.md.
 """
 
 import hashlib
@@ -45,6 +47,40 @@ GOLDEN = {
     ),
 }
 
+# (mode, seed) -> {file name: sha256} for every other file the run writes
+DUMPS = {
+    ("full", 0): {
+        "episode_00.txt": "76ef6b42ad201978145e23f1ee96e034973c7808aa0546b829e4787829e81341",
+        "episode_01.txt": "428f3ee59add7e1593a9a481dbe91af098f8987aa93bed7202f1bdaccdee11e7",
+        "episode_02.txt": "2a8173440d05a10f7e217ae6fa93998b1fac29078a4570c2aab37d4ed5ce33b4",
+        "ground_truth.txt": "df8f0d701b6da67e2ddba3b5b718fb706dae91df8a7679bdd68aae1707e1b51e",
+        "trajectory.txt": "888683c375c45aa93584111395587140f0c4d7dda7fe0d78b098c2db87cb6ff3",
+    },
+    ("full", 3): {
+        "episode_00.txt": "4964725a9fc5ceb5df474ddff762f5d6033bdd980680f68d4373049dac8a35b4",
+        "episode_01.txt": "875643461fcd5640656e78cee56f1d559324d36a7a1e1e7806502f097e483762",
+        "episode_02.txt": "ae6df2ff8eb96a9b75d0d0b0b774079afa980a6f42eba83a3750ba883dac0207",
+        "ground_truth.txt": "0b07e9b808c90b03e804bc3cf6e059da9005ec810e1c87084d319eadacf37a9b",
+        "trajectory.txt": "51b66eb4b825ebcd7f1d54d9e25533928e47a1373bf1f1a983b457c0ca81899c",
+    },
+    ("zero_noise", 1): {
+        "episode_00.txt": "e2e0aee57c5265bcc83a677852e0493315fd240eff743f715a71b9095417250a",
+        "episode_01.txt": "6e241b4869c6820b9bdb1ee00f1bd047a30f80208acc890bab0bfc8b15bc5c60",
+        "ground_truth.txt": "234df5c32848edb6228e2386e95d3e10ab17d4a1d23086559c8aa53c6e9cf60b",
+        "trajectory.txt": "54aef12ea0c1616a6b1f9f99d9df1022b691f3166bc4ad9836638c243ae7b8cf",
+    },
+    ("pickup_trial", 0): {
+        "episode_00.txt": "ecba08555eab698553097cb4a72c7386d552e0597d910694304d4e67765a2d8b",
+        "ground_truth.txt": "1bb112a7adb19bfc69797c143eb57ca6c2d35f1ec5d5f3b8e1fe08d440a64973",
+        "trajectory.txt": "c4be74064e325c176bb7a8390279705a851d1b1b70673fecfc85c61ba410c5eb",
+    },
+    ("pickup_trial", 4): {
+        "episode_00.txt": "8f8af7924aad36ec80f5b505ab4321d4b0f6ab1e3542d3ee2da5f4e2c5dde851",
+        "ground_truth.txt": "1bb112a7adb19bfc69797c143eb57ca6c2d35f1ec5d5f3b8e1fe08d440a64973",
+        "trajectory.txt": "752885e79c34f86395f24eb3c0aa5243c2496a178cf1998e86dcc335cd9100aa",
+    },
+}
+
 
 def _digest(path):
     if not path.exists():
@@ -61,5 +97,8 @@ def test_dump_files_match_golden_digests(tmp_path, mode, seed):
     if mode == "zero_noise":
         cfg = replace(cfg, noise=NoiseModel.zero())
     run_mission(cfg)
-    got = tuple(_digest(tmp_path / n) for n in ("report.txt", "map.grid", "hypotheses.txt"))
+    pinned = ("report.txt", "map.grid", "hypotheses.txt")
+    got = tuple(_digest(tmp_path / n) for n in pinned)
     assert got == GOLDEN[(mode, seed)]
+    others = {p.name: _digest(p) for p in tmp_path.iterdir() if p.name not in pinned}
+    assert others == DUMPS[(mode, seed)]

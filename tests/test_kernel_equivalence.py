@@ -1,0 +1,450 @@
+"""The per-tick simulation kernel against the straightforward versions it
+replaced.
+
+`World.step_world` bisects contacts on plain floats, `World._ray_ranges`
+casts every ray against every obstacle in one broadcast, `World.detect`
+casts all occlusion rays of a frame at once and `DelayQueue.pop_ready`
+returns early before its earliest ready time.  Each must give bit-for-bit
+what the references below give: a Pose2D-building bisection through
+`_advance`, a loop over obstacles, one occlusion ray per item, and a list
+filtered on every call.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from littersim.geometry import (
+    BoundingBox,
+    CameraModel,
+    GroundPoint,
+    Pose2D,
+    ground_point_to_pixel,
+)
+from littersim.pickup import MotionCommand
+from littersim.simworld import (
+    DelayQueue,
+    NoiseModel,
+    Rect,
+    World,
+    WorldConfig,
+    _advance,
+    _seg_dist,
+)
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+# --------------------------------------------------------------------- #
+# references
+
+
+def loop_ray_ranges(world, ox, oy, angles):
+    """One slab test per obstacle, folded into the running minimum."""
+    dx = np.cos(angles)
+    dy = np.sin(angles)
+    dx = np.where(np.abs(dx) < 1e-12, 1e-12, dx)
+    dy = np.where(np.abs(dy) < 1e-12, 1e-12, dy)
+    tx = np.maximum((world.arena.x0 - ox) / dx, (world.arena.x1 - ox) / dx)
+    ty = np.maximum((world.arena.y0 - oy) / dy, (world.arena.y1 - oy) / dy)
+    best = np.minimum(tx, ty)
+    for ob in world.obstacles:
+        t1x = (ob.x0 - ox) / dx
+        t2x = (ob.x1 - ox) / dx
+        t1y = (ob.y0 - oy) / dy
+        t2y = (ob.y1 - oy) / dy
+        tmin = np.maximum(np.minimum(t1x, t2x), np.minimum(t1y, t2y))
+        tmax = np.minimum(np.maximum(t1x, t2x), np.maximum(t1y, t2y))
+        hit = (tmax >= tmin) & (tmax > 0.0)
+        entry = np.where(tmin > 0.0, tmin, np.inf)
+        best = np.where(hit, np.minimum(best, entry), best)
+    return best
+
+
+def _reference_collides(world, x, y):
+    if not world.arena.contains(x, y):
+        return True
+    return any(ob.contains(x, y) for ob in world.obstacles)
+
+
+def reference_step_world(world, cmd):
+    """`World.step_world` with a Pose2D built through `_advance` for every
+    bisection probe."""
+    dt = world.cfg.dt
+    v = cmd.v
+    omega = cmd.omega
+    old = world.robot.true_pose
+    frac = 1.0
+    nxt = _advance(old, v, omega, dt)
+    world.last_contact = False
+    if _reference_collides(world, nxt.x, nxt.y):
+        world.last_contact = True
+        lo, hi = 0.0, 1.0
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            p = _advance(old, v, omega, mid * dt)
+            if _reference_collides(world, p.x, p.y):
+                hi = mid
+            else:
+                lo = mid
+        frac = lo
+        nxt = _advance(old, v, omega, frac * dt)
+    world.robot.true_pose = nxt
+
+    nz = world.noise
+    moving = abs(v) > 1e-12 or abs(omega) > 1e-12
+    bv, bo = v, omega + nz.odom_heading_bias * v
+    if moving and nz.odom_noise_sigma > 0.0:
+        bv += world.rng.normal(0.0, nz.odom_noise_sigma)
+        bo += world.rng.normal(0.0, nz.odom_noise_sigma)
+    world.robot.believed_pose = _advance(world.robot.believed_pose, bv * frac, bo * frac, dt)
+
+    if getattr(cmd, "mechanism_on", False):
+        for item in world.trash:
+            if item.collected:
+                continue
+            d = _seg_dist(item.position.x, item.position.y, old.x, old.y, nxt.x, nxt.y)
+            if d <= world.brush_halfwidth:
+                item.collected = True
+    world.t += dt
+
+
+def reference_detect(world, cam, frame_dt, detect_max_range=4.0):
+    """`World.detect` with one occlusion ray cast per item."""
+    nz = world.noise
+    pose = world.robot.true_pose
+    cam_x = pose.x + math.cos(pose.theta) * cam.forward_offset
+    cam_y = pose.y + math.sin(pose.theta) * cam.forward_offset
+    out = []
+    for item in world.trash:
+        if item.collected:
+            continue
+        gr = math.hypot(item.position.x - cam_x, item.position.y - cam_y)
+        if gr > detect_max_range or gr < 1e-6:
+            continue
+        pix = ground_point_to_pixel(pose, item.position, cam)
+        if pix is None:
+            continue
+        ang = math.atan2(item.position.y - cam_y, item.position.x - cam_x)
+        hit = float(loop_ray_ranges(world, cam_x, cam_y, np.array([ang]))[0])
+        if hit < gr - 1e-9:
+            continue
+        if world.rng.uniform() >= nz.p_detect(gr):
+            continue
+        box = world._render_box(pix, gr, cam)
+        if box is not None:
+            out.append(box)
+    if nz.false_positive_rate > 0.0 and frame_dt > 0.0:
+        k = int(world.rng.poisson(nz.false_positive_rate * frame_dt))
+        for _ in range(k):
+            half = world.rng.uniform(4.0, 24.0)
+            u = world.rng.uniform(half, cam.image_width - half)
+            v = world.rng.uniform(0.5 * cam.image_height, cam.image_height - half)
+            depth = world.rng.uniform(cam.mount_height + 0.1, detect_max_range)
+            conf = world.rng.uniform()
+            out.append(BoundingBox(u - half, u + half, v - half, v + half, depth, conf))
+    return out
+
+
+class ListDelayQueue:
+    """Filters the whole list on every pop."""
+
+    def __init__(self):
+        self._items = []
+
+    def push(self, ready_t, item):
+        self._items.append((ready_t, item))
+
+    def pop_ready(self, now):
+        out = [item for ready, item in self._items if ready <= now]
+        self._items = [(ready, item) for ready, item in self._items if ready > now]
+        return out
+
+
+# --------------------------------------------------------------------- #
+# strategies
+
+# axis-aligned bearings exercise the 1e-12 direction clamp
+_AXES = st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi])
+_BEARINGS = st.one_of(
+    _AXES,
+    st.tuples(_AXES, st.floats(-1e-12, 1e-12)).map(sum),
+    st.floats(-4.0, 4.0),
+)
+
+
+@st.composite
+def _rects(draw, w, h):
+    x0 = draw(st.floats(0.0, w - 0.05))
+    y0 = draw(st.floats(0.0, h - 0.05))
+    x1 = draw(st.floats(x0 + 0.05, min(w, x0 + 1.5)))
+    y1 = draw(st.floats(y0 + 0.05, min(h, y0 + 1.5)))
+    assume(x1 > x0 and y1 > y0)
+    return Rect(x0, y0, x1, y1)
+
+
+def _snap(draw, value, extent, rects, axis):
+    """Optionally move a coordinate onto an arena or obstacle face."""
+    faces = [0.0, extent]
+    for r in rects:
+        faces += [r.x0, r.x1] if axis == 0 else [r.y0, r.y1]
+    return draw(st.one_of(st.just(value), st.sampled_from(faces)))
+
+
+@st.composite
+def _worlds(draw, noisy=False):
+    w = draw(st.sampled_from([2.0, 3.0, 8.0]))
+    h = draw(st.sampled_from([2.0, 3.0, 6.0]))
+    rects = draw(st.lists(_rects(w, h), max_size=6))
+    sx = _snap(draw, draw(st.floats(0.0, w)), w, rects, 0)
+    sy = _snap(draw, draw(st.floats(0.0, h)), h, rects, 1)
+    assume(0.0 <= sx <= w and 0.0 <= sy <= h)
+    assume(not any(r.contains(sx, sy) for r in rects))
+    start = Pose2D(sx, sy, draw(_BEARINGS))
+    cfg = WorldConfig(
+        arena_w=w,
+        arena_h=h,
+        dt=draw(st.sampled_from([0.05, 0.2, 0.5])),
+        seed=draw(st.integers(0, 2**16)),
+        start=start,
+        obstacles=tuple(rects),
+        trash=(),
+    )
+    return cfg, NoiseModel() if noisy else NoiseModel.zero()
+
+
+# |omega| on both sides of _advance's 1e-9 straight-line switch
+_OMEGAS = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1e-9, math.nextafter(1e-9, 0.0), math.nextafter(1e-9, 1.0)]).flatmap(
+        lambda m: st.sampled_from([m, -m])
+    ),
+    st.floats(-3.0, 3.0),
+)
+_COMMANDS = st.builds(
+    MotionCommand,
+    st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    _OMEGAS,
+    st.booleans(),
+)
+
+
+def _bits(pose):
+    return (repr(pose.x), repr(pose.y), repr(pose.theta))
+
+
+# --------------------------------------------------------------------- #
+# ray casting
+
+
+# where a +x ray from (0, 0.5), its y direction clamped to 1e-12, reaches
+# y = 0.5 + 1e-12
+_GRAZE = ((0.5 + 1e-12) - 0.5) / 1e-12
+
+
+@st.composite
+def _casts(draw):
+    cfg, noise = draw(_worlds())
+    world = World(cfg, noise)
+    # origins on arena and obstacle corners and faces, or anywhere inside
+    ox = _snap(draw, draw(st.floats(0.0, cfg.arena_w)), cfg.arena_w, world.obstacles, 0)
+    oy = _snap(draw, draw(st.floats(0.0, cfg.arena_h)), cfg.arena_h, world.obstacles, 1)
+    assume(world.arena.contains(ox, oy))
+    n = draw(st.sampled_from([1, 32, draw(st.integers(1, 32))]))
+    angles = np.array(draw(st.lists(_BEARINGS, min_size=n, max_size=n)))
+    return world, ox, oy, angles
+
+
+@SETTINGS
+@given(_casts())
+# a corner origin with no obstacles at all, on every axis
+@example((
+    World(WorldConfig(obstacles=(), trash=()), NoiseModel.zero()),
+    0.0,
+    0.0,
+    np.array([0.0, math.pi / 2, math.pi, -math.pi / 2]),
+))
+# a ray along +x whose clamped y direction meets the box's top face exactly
+# where it enters across x: entry equals exit, which still counts as a hit
+@example((
+    World(
+        WorldConfig(
+            obstacles=(Rect(_GRAZE, 0.5 + 1e-12 - 0.4, _GRAZE + 1.0, 0.5 + 1e-12),),
+            trash=(),
+            start=Pose2D(4.0, 4.0),
+        ),
+        NoiseModel.zero(),
+    ),
+    0.0,
+    0.5,
+    np.array([0.0]),
+))
+def test_ray_ranges_equal_the_per_obstacle_loop(case):
+    world, ox, oy, angles = case
+    got = world._ray_ranges(ox, oy, angles)
+    want = loop_ray_ranges(world, ox, oy, angles)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # a batched cast equals one cast per ray, which detect relies on
+    singles = np.concatenate(
+        [world._ray_ranges(ox, oy, angles[i : i + 1]) for i in range(len(angles))]
+    )
+    assert got.tobytes() == singles.tobytes()
+
+
+def test_scan_bearings_are_the_linspace_of_each_fov():
+    world = World(WorldConfig(obstacles=(Rect(2.0, 0.0, 2.5, 6.0),), trash=()), NoiseModel.zero())
+    for cam, n in [(CameraModel(), 32), (CameraModel(hfov=1.0), 32), (CameraModel(), 7)]:
+        for _ in range(2):
+            scan = world.scan(cam, n_beams=n, max_range=3.5)
+            bearings = np.linspace(-0.5 * cam.hfov, 0.5 * cam.hfov, n)
+            assert [b for b, _, _ in scan] == bearings.tolist()
+            pose = world.robot.true_pose
+            want = np.minimum(loop_ray_ranges(world, pose.x, pose.y, pose.theta + bearings), 3.5)
+            assert [d for _, d, _ in scan] == want.tolist()
+            assert all(type(b) is float and type(d) is float for b, d, _ in scan)
+
+
+# --------------------------------------------------------------------- #
+# kinematics
+
+
+def _box_on_probe(start, cmd, dt, frac, across_x):
+    """A 0.5 m box whose near face passes exactly through the bisection
+    probe at `frac` of the tick, so a probe that differs from `_advance` by
+    one ulp can land on the other side of the face."""
+    probe = _advance(start, cmd.v, cmd.omega, frac * dt)
+    if across_x:
+        lo = probe.x if probe.x > start.x else probe.x - 0.5
+        box = Rect(lo, probe.y - 0.5, lo + 0.5, probe.y + 0.5)
+    else:
+        lo = probe.y if probe.y > start.y else probe.y - 0.5
+        box = Rect(probe.x - 0.5, lo, probe.x + 0.5, lo + 0.5)
+    cfg = WorldConfig(arena_w=8.0, arena_h=8.0, dt=dt, start=start, obstacles=(box,), trash=())
+    return cfg, NoiseModel()
+
+
+@st.composite
+def _faces_on_probes(draw):
+    start = Pose2D(draw(st.floats(2.5, 5.5)), draw(st.floats(2.5, 5.5)), draw(_BEARINGS))
+    cmd = MotionCommand(draw(st.floats(0.5, 2.0)), draw(_OMEGAS))
+    dt = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    case = _box_on_probe(
+        start, cmd, dt, draw(st.sampled_from([0.5, 0.25, 0.75])), draw(st.booleans())
+    )
+    assume(not case[0].obstacles[0].contains(start.x, start.y))
+    return case, [cmd] * draw(st.integers(1, 3))
+
+
+@SETTINGS
+@given(
+    st.one_of(
+        st.tuples(_worlds(noisy=True), st.lists(_COMMANDS, min_size=1, max_size=25)),
+        _faces_on_probes(),
+    )
+)
+# here (v * h) * cos(theta) and v * (h * cos(theta)) differ by an ulp at the
+# first probe, so only _advance's evaluation order finds the face
+@example((
+    _box_on_probe(Pose2D(4.72, 4.0, -0.59), MotionCommand(1.61, 0.0), 0.05, 0.5, True),
+    [MotionCommand(1.61, 0.0)],
+))
+def test_step_world_equals_the_pose_building_bisection(drive):
+    (cfg, noise), commands = drive
+    got = World(cfg, noise)
+    want = World(cfg, noise)
+    for cmd in commands:
+        got.step_world(cmd)
+        reference_step_world(want, cmd)
+        assert _bits(got.robot.true_pose) == _bits(want.robot.true_pose)
+        assert _bits(got.robot.believed_pose) == _bits(want.robot.believed_pose)
+        assert got.last_contact == want.last_contact
+        assert got.t == want.t
+    assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+
+@SETTINGS
+@given(_worlds(), st.lists(_COMMANDS, min_size=1, max_size=25))
+def test_step_world_never_ends_a_tick_in_collision(case, commands):
+    cfg, noise = case
+    world = World(cfg, noise)
+    for cmd in commands:
+        world.step_world(cmd)
+        p = world.robot.true_pose
+        assert world.arena.contains(p.x, p.y)
+        assert not any(ob.contains(p.x, p.y) for ob in world.obstacles)
+
+
+def test_driving_into_a_box_and_a_wall_makes_contact():
+    # the equivalence above must cover real contacts, not only free motion
+    box = Rect(1.0, 0.0, 1.4, 2.0)
+    cfg = WorldConfig(
+        arena_w=2.0, arena_h=2.0, obstacles=(box,), trash=(), start=Pose2D(0.5, 1.0, 0.0)
+    )
+    for cmd in (MotionCommand(1.0, 0.0), MotionCommand(1.0, 1e-9), MotionCommand(-1.0, 0.3)):
+        got = World(cfg, NoiseModel())
+        want = World(cfg, NoiseModel())
+        contacts = 0
+        for _ in range(40):
+            got.step_world(cmd)
+            reference_step_world(want, cmd)
+            contacts += got.last_contact
+            assert _bits(got.robot.true_pose) == _bits(want.robot.true_pose)
+            assert _bits(got.robot.believed_pose) == _bits(want.robot.believed_pose)
+        assert contacts > 0
+
+
+# --------------------------------------------------------------------- #
+# detection
+
+
+@SETTINGS
+@given(
+    _worlds(),
+    st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=8),
+    st.lists(st.booleans(), min_size=8, max_size=8),
+)
+def test_detect_equals_one_occlusion_ray_per_item(case, spots, collected):
+    cfg, _ = case
+    trash = tuple((GroundPoint(u * cfg.arena_w, v * cfg.arena_h), 0.3) for u, v in spots)
+    cfg = replace(cfg, trash=trash)
+    noise = NoiseModel(false_positive_rate=2.0)
+    got = World(cfg, noise)
+    want = World(cfg, noise)
+    for world in (got, want):
+        for item, flag in zip(world.trash, collected):
+            item.collected = flag
+    cam = CameraModel()
+    for _ in range(3):
+        assert repr(got.detect(cam, 0.5)) == repr(reference_detect(want, cam, 0.5))
+        assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+
+# --------------------------------------------------------------------- #
+# frame queue
+
+_READY = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, 1.75, 3.0])
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.one_of(_READY, st.floats(0.0, 4.0))),
+        st.tuples(st.just("pop"), st.one_of(_READY, st.floats(-1.0, 5.0))),
+    ),
+    max_size=40,
+)
+
+
+@SETTINGS
+@given(_OPS)
+def test_delay_queue_equals_the_list_filter(ops):
+    got = DelayQueue()
+    want = ListDelayQueue()
+    for k, (op, t) in enumerate(ops):
+        if op == "push":
+            got.push(t, k)
+            want.push(t, k)
+        else:
+            assert got.pop_ready(t) == want.pop_ready(t)
+    assert got.pop_ready(math.inf) == want.pop_ready(math.inf)
