@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import Pose2D
 
@@ -250,12 +249,16 @@ def close_occupied(mask: np.ndarray, se: StructuringElement) -> np.ndarray:
 
     Out-of-array cells count as empty for both passes.
     """
+    from scipy import ndimage
+
     fp = se.footprint()
     return ndimage.binary_erosion(ndimage.binary_dilation(mask, fp), fp)
 
 
 def open_occupied(mask: np.ndarray, se: StructuringElement) -> np.ndarray:
     """Morphological opening (erode, then dilate) of a boolean mask."""
+    from scipy import ndimage
+
     fp = se.footprint()
     return ndimage.binary_dilation(ndimage.binary_erosion(mask, fp), fp)
 
@@ -294,6 +297,8 @@ def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
     out = grid.copy()
     if radius == 0.0 or not (grid.cells == OCCUPIED).any():
         return out
+    from scipy import ndimage
+
     dist = ndimage.distance_transform_edt(grid.cells != OCCUPIED)
     within = dist <= (radius / grid.resolution) + 1e-9
     out.cells[within & (grid.cells == FREE)] = OCCUPIED

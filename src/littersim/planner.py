@@ -16,10 +16,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .geometry import GroundPoint, Pose2D
 from .gridmap import FREE, OccupancyGrid, trace_cells
@@ -27,8 +26,8 @@ from .gridmap import FREE, OccupancyGrid, trace_cells
 SQRT2 = math.sqrt(2.0)
 COST_TIE = 1e-9
 _RIM = 1e-9  # distance band around the annulus bounds re-decided with math.hypot
-# approach_goal's first cost search stops this many cells' worth of path
-# past the nearest candidate's octile distance
+# a first, bounded cost search stops this many cells' worth of path past
+# the nearest target's octile distance
 _LIMIT_MARGIN_CELLS = 10
 
 
@@ -79,9 +78,7 @@ def astar(grid: OccupancyGrid, start: GroundPoint, goal: GroundPoint) -> PathPla
     Raises:
         StartOccupied: when the start cell is off-grid or not Free.
     """
-    s = grid.world_to_cell(start.x, start.y)
-    if s is None or grid.cells[s[1], s[0]] != FREE:
-        raise StartOccupied(f"start {(start.x, start.y)} is not on a Free cell")
+    s = _start_cell(grid, start)
     g = grid.world_to_cell(goal.x, goal.y)
     if g is None or grid.cells[g[1], g[0]] != FREE:
         return None
@@ -149,6 +146,8 @@ class CostField:
     """
 
     def __init__(self, grid: OccupancyGrid):
+        from scipy.sparse import csr_matrix
+
         self.grid = grid
         W, H = grid.width, grid.height
         n = W * H
@@ -181,13 +180,30 @@ class CostField:
         Raises:
             StartOccupied: when the start cell is off-grid or not Free.
         """
-        s = self.grid.world_to_cell(start.x, start.y)
-        if s is None or self.grid.cells[s[1], s[0]] != FREE:
-            raise StartOccupied(f"start {(start.x, start.y)} is not on a Free cell")
-        costs = _csgraph_dijkstra(
-            self._graph, indices=s[1] * self.grid.width + s[0], limit=limit
-        )
+        from scipy.sparse.csgraph import dijkstra
+
+        s = _start_cell(self.grid, start)
+        costs = dijkstra(self._graph, indices=s[1] * self.grid.width + s[0], limit=limit)
         return costs.reshape((self.grid.height, self.grid.width))
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """8-connected component label of every cell, [row, col]: 0 on
+        non-Free cells, and two Free cells share a positive label exactly
+        when the graph joins them by a path.  Computed on first use."""
+        from scipy import ndimage
+
+        labels, _ = ndimage.label(self.grid.cells == FREE, structure=np.ones((3, 3)))
+        return labels
+
+
+def _start_cell(grid: OccupancyGrid, start: GroundPoint) -> tuple[int, int]:
+    """The (col, row) holding start; raises StartOccupied when it is off
+    the grid or not Free."""
+    s = grid.world_to_cell(start.x, start.y)
+    if s is None or grid.cells[s[1], s[0]] != FREE:
+        raise StartOccupied(f"start {(start.x, start.y)} is not on a Free cell")
+    return s
 
 
 def order_waypoints(
@@ -199,33 +215,67 @@ def order_waypoints(
     """Greedy nearest-first visit order by path cost.
 
     From the current position, repeatedly pick the unvisited point with the
-    cheapest path cost (ties toward earlier input order).  Points whose
-    cells are unreachable are flagged False and placed last, keeping their
-    input order.  Output length always equals the input length.  Pass a
-    `cost_field` already built over `grid` to skip building another.
+    cheapest path cost, ties toward earlier input order: a scan in input
+    order keeps a point only when it undercuts the best cost so far by
+    COST_TIE.  Points whose cells are unreachable are flagged False and
+    placed last, keeping their input order.  Output length always equals
+    the input length.  Pass a `cost_field` already built over `grid` to
+    skip building another.
+
+    Reachability needs no search: a point is reachable when its cell is a
+    Free cell in the start cell's 8-connected component
+    (`CostField.labels`), and every stop stays in that component.  Points
+    off the grid, on non-Free cells or in another component are never
+    chosen.  While two or more reachable points remain, each stop's path
+    costs are first searched only to the octile distance of the nearest
+    one, which no path beats, plus a few cells.  Costs within that limit
+    are bit for bit the unbounded ones, and costlier points read inf.
+    Distinct 8-connected path costs lie far more than 2 * COST_TIE apart,
+    while equal ones differ only in rounding, far below COST_TIE; so the
+    scan picks the input-order first point of the cheapest cost group.
+    When the chosen cost c* has c* + COST_TIE within the limit, that whole
+    group lies within it too, and the pick equals the unbounded one;
+    otherwise the search is repeated without a limit.  The last reachable
+    point is chosen without a search: its cost is finite.
+
+    Raises:
+        StartOccupied: when the start cell is off-grid or not Free (and
+            `trash` is not empty).
     """
     if not trash:
         return []
     cf = cost_field if cost_field is not None else CostField(grid)
-    remaining = list(enumerate(trash))
+    cell = _start_cell(grid, start)
+    labels = cf.labels
+    home = labels[cell[1], cell[0]]
+    reachable: list[tuple[tuple[int, int], GroundPoint]] = []
+    unreachable: list[GroundPoint] = []
+    for p in trash:
+        c = grid.world_to_cell(p.x, p.y)
+        if c is not None and labels[c[1], c[0]] == home:
+            reachable.append((c, p))
+        else:
+            unreachable.append(p)
     current = start
     ordered: list[tuple[GroundPoint, bool]] = []
-    while remaining:
-        costs = cf.field(current)
-        best_j = -1
-        best_cost = math.inf
-        for j, (_, p) in enumerate(remaining):
-            cell = grid.world_to_cell(p.x, p.y)
-            c = math.inf if cell is None else float(costs[cell[1], cell[0]])
-            if c < best_cost - COST_TIE:
-                best_cost = c
-                best_j = j
-        if best_j < 0:
-            break
-        _, chosen = remaining.pop(best_j)
-        ordered.append((chosen, True))
-        current = chosen
-    ordered.extend((p, False) for _, p in remaining)
+    while len(reachable) > 1:
+        cols = np.array([c[0] for c, _ in reachable])
+        rows = np.array([c[1] for c, _ in reachable])
+        for limit in (_first_cost_limit(grid.resolution, cell, rows, cols), math.inf):
+            costs = cf.field(current, limit)
+            best_j = -1
+            best_cost = math.inf
+            for j, (c, _) in enumerate(reachable):
+                cost = float(costs[c[1], c[0]])
+                if cost < best_cost - COST_TIE:
+                    best_cost = cost
+                    best_j = j
+            if best_cost + COST_TIE <= limit:
+                break
+        cell, current = reachable.pop(best_j)
+        ordered.append((current, True))
+    ordered.extend((p, True) for _, p in reachable)
+    ordered.extend((p, False) for p in unreachable)
     return ordered
 
 
@@ -332,9 +382,9 @@ def approach_goal(
 def _first_cost_limit(
     res: float, start: tuple[int, int], rows: np.ndarray, cols: np.ndarray
 ) -> float:
-    """Where approach_goal's first cost search stops: the octile distance
-    from the robot's cell to the nearest candidate, which no path beats,
-    plus a margin that usually covers the detour to the goal."""
+    """Where a first cost search stops: the octile distance from the start
+    cell to the nearest target cell, which no path beats, plus a margin
+    that usually covers the detour to the chosen one."""
     dc = np.abs(cols - start[0])
     dr = np.abs(rows - start[1])
     octile = np.maximum(dc, dr) + (SQRT2 - 1.0) * np.minimum(dc, dr)

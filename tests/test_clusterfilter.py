@@ -2,8 +2,13 @@
 tracks full membership lists, so the running-mean shortcut in the package
 is validated against recomputed arithmetic means every step."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from littersim.clusterfilter import FilterConfig, RawDetection, TrashHypothesis, confirmed, ingest
 from littersim.geometry import GroundPoint
@@ -64,6 +69,50 @@ def test_count_conservation():
         pts = [(float(x), float(y)) for x, y in rng.uniform(0, 4, size=(n, 2))]
         state = run_stream(pts, cfg)
         assert sum(h.count for h in state) == n
+
+
+@st.composite
+def _detection_stream(draw):
+    radius = draw(st.sampled_from([0.05, 0.5, 2.0]))
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    centers = draw(st.lists(
+        st.tuples(st.floats(-scale, scale), st.floats(-scale, scale)), min_size=1, max_size=4
+    ))
+    offset = st.one_of(
+        st.floats(-2.0 * radius, 2.0 * radius),
+        st.sampled_from([-radius, 0.0, radius]),  # on the window bounds
+    )
+    sighting = st.tuples(st.integers(0, len(centers) - 1), offset, offset).map(
+        lambda k: (centers[k[0]][0] + k[1], centers[k[0]][1] + k[2])
+    )
+    return FilterConfig(cluster_radius=radius), draw(st.lists(sighting, max_size=60))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_detection_stream())
+def test_ingest_conserves_counts_and_means(case):
+    cfg, points = case
+    state = []
+    members = []  # the sightings merged into each hypothesis
+    for i, (x, y) in enumerate(points):
+        out = ingest(state, RawDetection(0.1 * i, GroundPoint(x, y)), cfg)
+        if len(out) > len(state):
+            assert len(out) == len(state) + 1
+            members.append([(x, y)])
+        else:
+            (k,) = [k for k, (a, b) in enumerate(zip(state, out)) if a != b]
+            assert out[k].count == state[k].count + 1
+            members[k].append((x, y))
+        state = out
+        assert sum(h.count for h in state) == i + 1
+    for h, pts in zip(state, members):
+        assert h.count == len(pts)
+        # the running mean stays within rounding of the arithmetic mean:
+        # each merge adds at most a few ulps of the largest coordinate
+        scale = max(1.0, *(abs(v) for p in pts for v in p))
+        tol = 4 * (len(pts) + 1) * sys.float_info.epsilon * scale
+        assert abs(h.point.x - math.fsum(p[0] for p in pts) / len(pts)) <= tol
+        assert abs(h.point.y - math.fsum(p[1] for p in pts) / len(pts)) <= tol
 
 
 def test_window_bounds_are_inclusive():

@@ -72,13 +72,14 @@ def test_trace_cells_axis_aligned_and_diagonal():
     assert cells == [(0, 0), (1, 1), (2, 2)]
 
 
-def _overlap_interval(x0, y0, x1, y1, col, row, res):
+def _overlap_interval(x0, y0, x1, y1, col, row, res, inset=0.0):
     """Parameter interval [t0, t1] where the segment lies inside the closed
-    rectangle of cell (col, row), via slab clipping.  Empty -> t0 > t1."""
+    rectangle of cell (col, row), shrunk by `inset` on every side, via slab
+    clipping.  Empty -> t0 > t1."""
     t0, t1 = 0.0, 1.0
     dx, dy = x1 - x0, y1 - y0
-    for p, q in ((-dx, x0 - col * res), (dx, (col + 1) * res - x0),
-                 (-dy, y0 - row * res), (dy, (row + 1) * res - y0)):
+    for p, q in ((-dx, x0 - (col * res + inset)), (dx, (col + 1) * res - inset - x0),
+                 (-dy, y0 - (row * res + inset)), (dy, (row + 1) * res - inset - y0)):
         if p == 0.0:
             if q < 0.0:
                 return 1.0, 0.0
@@ -116,6 +117,80 @@ def test_trace_cells_matches_analytic_overlap():
                 t0, t1 = _overlap_interval(x0, y0, x1, y1, col, row, res)
                 if t1 - t0 > 1e-9:
                     assert (col, row) in got
+
+
+@st.composite
+def _segment_case(draw):
+    res = draw(st.sampled_from([0.05, 0.1, 0.25, 1.0]))
+    width = draw(st.integers(1, 30))
+    height = draw(st.integers(1, 30))
+    origin = Pose2D(
+        draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
+        draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
+        draw(st.one_of(st.just(0.0), _ANGLES)),
+    )
+
+    def grid_coord(n):
+        # on a gridline or corner, a hair off one, a cell center, or
+        # anywhere in and around the grid (off it included), in cells
+        return draw(st.one_of(
+            st.integers(-2, n + 2).map(float),
+            st.tuples(st.integers(0, n), st.floats(-1e-3, 1e-3)).map(sum),
+            st.integers(0, n).map(lambda k: k + 0.5),
+            st.floats(-0.5 * n, 1.5 * n),
+        ))
+
+    c, s = math.cos(origin.theta), math.sin(origin.theta)
+    ends = []
+    for _ in range(2):
+        gx, gy = grid_coord(width) * res, grid_coord(height) * res
+        ends += [origin.x + c * gx - s * gy, origin.y + s * gx + c * gy]
+    if draw(st.booleans()):
+        ends[2:] = ends[:2]  # zero length
+    return OccupancyGrid(width, height, res, origin), tuple(ends)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_segment_case())
+def test_trace_cells_matches_brute_force_overlap(case):
+    grid, (x0, y0, x1, y1) = case
+    got = trace_cells(grid, x0, y0, x1, y1)
+    c, s = math.cos(grid.origin.theta), math.sin(grid.origin.theta)
+
+    def to_grid(x, y):
+        # the map frame to grid coordinates in cells
+        dx, dy = x - grid.origin.x, y - grid.origin.y
+        return (c * dx + s * dy) / grid.resolution, (-s * dx + c * dy) / grid.resolution
+
+    (ax, ay), (bx, by) = to_grid(x0, y0), to_grid(x1, y1)
+    assert len(got) == len(set(got))
+    assert all(0 <= col < grid.width and 0 <= row < grid.height for col, row in got)
+    length = math.hypot(bx - ax, by - ay)
+    if length == 0.0:
+        cell = (math.floor(ax), math.floor(ay))
+        assert got == ([cell] if grid.world_to_cell(x0, y0) is not None else [])
+        return
+    # every reported cell is genuinely crossed, and in traversal order;
+    # trace_cells walks a segment whose extent along an axis is a rounding
+    # error (at most 1e-15 cells) as if it were zero, so such a segment's
+    # cells need only come within 1e-9 of it
+    scale = max(1.0, abs(ax), abs(ay), abs(bx), abs(by))
+    along = min(abs(bx - ax), abs(by - ay)) <= 1e-12 * scale
+    mids = []
+    for col, row in got:
+        t0, t1 = _overlap_interval(ax, ay, bx, by, col, row, 1.0, inset=-1e-9 if along else 0.0)
+        assert t1 - t0 > 1e-13
+        mids.append(0.5 * (t0 + t1))
+    assert mids == sorted(mids)
+    # every cell whose interior the segment crosses for more than a hair
+    # is reported; corner and gridline grazes may be dropped
+    cols = range(max(0, math.floor(min(ax, bx))), min(grid.width, math.floor(max(ax, bx)) + 1))
+    rows = range(max(0, math.floor(min(ay, by))), min(grid.height, math.floor(max(ay, by)) + 1))
+    for col in cols:
+        for row in rows:
+            t0, t1 = _overlap_interval(ax, ay, bx, by, col, row, 1.0, inset=1e-9)
+            if (t1 - t0) * length > 1e-9:
+                assert (col, row) in got
 
 
 def test_integrate_scan_worked_example():

@@ -1,8 +1,11 @@
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import littersim
 from littersim.clusterfilter import FilterConfig
 from littersim.config import ConfigError, MissionConfig, build_config
 from littersim.geometry import CameraModel, GroundPoint, Pose2D
@@ -194,6 +197,25 @@ def test_trial_scenario_runs_one_episode(tmp_path):
     # the item really spawns trial_distance ahead of the start pose
     assert report.per_trash[0].truth.x == pytest.approx(4.0 - 0.5 + 1.0)
     assert report.per_trash[0].truth.y == pytest.approx(3.0)
+
+
+def test_pickup_trial_loads_no_scipy_morphology_or_graph_module():
+    # a fresh interpreter: this test process has long imported scipy
+    code = (
+        "import sys\n"
+        "import littersim\n"
+        "from littersim.config import build_config\n"
+        "report = littersim.run_mission(build_config({'mission.scenario': ['pickup_trial']}))\n"
+        "assert report.n_trash == 1\n"
+        "print(sorted(m for m in ('scipy.ndimage', 'scipy.sparse.csgraph') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(littersim.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_trial_rerun_is_identical_under_full_noise():

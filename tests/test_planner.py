@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from littersim.geometry import GroundPoint, Pose2D
 from littersim import planner
@@ -222,28 +223,37 @@ def coo_cost_graph(grid):
     )
 
 
-@pytest.mark.parametrize(
-    "shape,fill",
-    [
-        ((1, 1), "free"),
-        ((1, 17), "free"),
-        ((17, 1), "mixed"),
-        ((1, 17), "mixed"),
-        ((9, 12), "occupied"),
-        ((9, 12), "free"),
-        ((9, 12), "unknown"),
-        ((40, 30), "mixed"),
-        ((3, 200), "mixed"),
-    ],
-)
-def test_cost_field_csr_equals_coo_reference(shape, fill):
+_GRID_FILLS = [
+    ((1, 1), "free"),
+    ((1, 17), "free"),
+    ((17, 1), "mixed"),
+    ((1, 17), "mixed"),
+    ((9, 12), "occupied"),
+    ((9, 12), "free"),
+    ((9, 12), "unknown"),
+    ((40, 30), "mixed"),
+    ((3, 200), "mixed"),
+]
+
+
+def filled_grid(shape, fill):
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
     if fill == "mixed":
         cells = rng.choice(np.array([FREE, FREE, OCCUPIED, UNKNOWN], dtype=np.uint8), size=shape)
+    elif fill == "checker":  # Free cells that touch only at corners
+        rows, cols = np.indices(shape)
+        cells = np.where((rows + cols) % 2 == 0, FREE, OCCUPIED).astype(np.uint8)
+    elif fill == "sparse":  # many small components
+        cells = np.where(rng.random(shape) < 0.6, OCCUPIED, FREE).astype(np.uint8)
     else:
         value = {"free": FREE, "occupied": OCCUPIED, "unknown": UNKNOWN}[fill]
         cells = np.full(shape, value, dtype=np.uint8)
-    g = grid_from(cells, resolution=0.07)
+    return grid_from(cells, resolution=0.07)
+
+
+@pytest.mark.parametrize("shape,fill", _GRID_FILLS)
+def test_cost_field_csr_equals_coo_reference(shape, fill):
+    g = filled_grid(shape, fill)
     got = CostField(g)._graph
     want = coo_cost_graph(g)
     assert got.shape == want.shape
@@ -252,6 +262,23 @@ def test_cost_field_csr_equals_coo_reference(shape, fill):
         assert a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
     assert got.indices.dtype == np.int32
+
+
+@pytest.mark.parametrize(
+    "shape,fill", _GRID_FILLS + [((7, 9), "checker"), ((30, 40), "sparse")]
+)
+def test_cost_field_labels_are_the_graph_components(shape, fill):
+    g = filled_grid(shape, fill)
+    labels = CostField(g).labels
+    free = (g.cells == FREE).ravel()
+    assert labels.shape == g.cells.shape
+    assert (labels.ravel()[~free] == 0).all()
+    _, comp = connected_components(CostField(g)._graph, directed=False)
+    got, want = labels.ravel()[free], comp[free]
+    assert (got > 0).all()
+    # the same partition of the Free cells: the label pairs match one to one
+    pairs = set(zip(got.tolist(), want.tolist()))
+    assert len(pairs) == len(set(got.tolist())) == len(set(want.tolist()))
 
 
 def order_oracle(grid, start, points):
@@ -328,6 +355,200 @@ def test_order_waypoints_tie_goes_to_earlier_input():
 def test_order_waypoints_empty_input():
     g = grid_from(np.full((5, 5), FREE, dtype=np.uint8))
     assert order_waypoints(GroundPoint(0.05, 0.05), [], g) == []
+
+
+def full_search_order_waypoints(start, trash, grid):
+    """order_waypoints as it was before its bounded searches: an unbounded
+    cost field from every stop, every remaining point scanned in input
+    order, and the tour ends when no remaining point has a finite cost."""
+    cf = CostField(grid)
+    remaining = list(enumerate(trash))
+    current = start
+    ordered = []
+    while remaining:
+        costs = cf.field(current)
+        best_j = -1
+        best_cost = math.inf
+        for j, (_, p) in enumerate(remaining):
+            cell = grid.world_to_cell(p.x, p.y)
+            c = math.inf if cell is None else float(costs[cell[1], cell[0]])
+            if c < best_cost - COST_TIE:
+                best_cost = c
+                best_j = j
+        if best_j < 0:
+            break
+        _, chosen = remaining.pop(best_j)
+        ordered.append((chosen, True))
+        current = chosen
+    ordered.extend((p, False) for _, p in remaining)
+    return ordered
+
+
+@st.composite
+def _tour_case(draw):
+    res = draw(st.sampled_from([0.05, 0.1, 0.25, 0.3]))
+    width = draw(st.integers(1, 24))
+    height = draw(st.integers(1, 24))
+    origin = Pose2D(
+        draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
+        draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
+        draw(_ORIGIN_ANGLES),
+    )
+    grid = OccupancyGrid(width, height, res, origin)
+    grid.cells[:] = FREE
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.0, 0.05, 0.15, 0.3, 0.5]))
+    solid = np.where(rng.random((height, width)) < 0.5, OCCUPIED, UNKNOWN)
+    blocked = rng.random((height, width)) < density
+    grid.cells[blocked] = solid[blocked]
+    for _ in range(draw(st.integers(0, 2))):
+        # a sealed pocket: a one-cell ring of Occupied cells
+        col = draw(st.integers(0, width - 1))
+        row = draw(st.integers(0, height - 1))
+        half = draw(st.integers(1, 3))
+        c0, c1 = max(col - half, 0), min(col + half, width - 1)
+        r0, r1 = max(row - half, 0), min(row + half, height - 1)
+        grid.cells[r0 : r1 + 1, [c0, c1]] = OCCUPIED
+        grid.cells[[r0, r1], c0 : c1 + 1] = OCCUPIED
+    if draw(st.booleans()):
+        # a checkerboard band whose Free cells touch only at corners
+        r0 = draw(st.integers(0, height - 1))
+        r1 = draw(st.integers(r0, height - 1))
+        rows, cols = np.indices((r1 + 1 - r0, width))
+        band = grid.cells[r0 : r1 + 1]
+        band[(rows + r0 + cols) % 2 == 1] = OCCUPIED
+    free = np.flatnonzero(grid.cells.ravel() == FREE)
+    assume(len(free) > 0)
+    start_cell = divmod(int(free[draw(st.integers(0, len(free) - 1))]), width)[::-1]
+    c, s = math.cos(origin.theta), math.sin(origin.theta)
+
+    def to_world(gx, gy):
+        # grid coordinates in cells to the map frame
+        gx, gy = gx * res, gy * res
+        return GroundPoint(origin.x + c * gx - s * gy, origin.y + s * gx + c * gy)
+
+    def in_cell(cell):
+        # the cell center, or anywhere well inside the cell
+        fx, fy = draw(st.one_of(
+            st.just((0.5, 0.5)), st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9))
+        ))
+        return to_world(cell[0] + fx, cell[1] + fy)
+
+    start = in_cell(start_cell)
+    cells = []
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["cell", "cell", "free", "start", "dup", "mirror", "any"]))
+        if kind == "cell":  # Free, Occupied or Unknown
+            cell = (draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1)))
+        elif kind == "free":
+            cell = divmod(int(free[draw(st.integers(0, len(free) - 1))]), width)[::-1]
+        elif kind == "start":
+            cell = start_cell
+        elif kind == "dup" and points:
+            points.append(points[draw(st.integers(0, len(points) - 1))])
+            continue
+        elif kind == "mirror" and cells:
+            # the same octile distance from the start: often a cost tie
+            other = cells[draw(st.integers(0, len(cells) - 1))]
+            dc, dr = other[0] - start_cell[0], other[1] - start_cell[1]
+            dc, dr = draw(st.sampled_from([(-dc, dr), (dc, -dr), (-dc, -dr), (dr, dc)]))
+            cell = (start_cell[0] + dc, start_cell[1] + dr)
+        else:  # anywhere in or around the grid, off it included
+            points.append(to_world(
+                draw(st.floats(-0.3 * width, 1.3 * width)),
+                draw(st.floats(-0.3 * height, 1.3 * height)),
+            ))
+            continue
+        cells.append(cell)
+        points.append(in_cell(cell))
+    if draw(st.booleans()):
+        points.reverse()
+    # the first, bounded cost search: a zero margin often cuts through
+    # the cheapest point's tie group and forces the unbounded retry
+    margin = draw(st.sampled_from([0, 1, planner._LIMIT_MARGIN_CELLS]))
+    return grid, start, points, margin
+
+
+def _open_tie_case(step):
+    # four points at the same octile distance from the start of an open
+    # field, in input order (step 1) or reversed (step -1), with no margin
+    g = grid_from(np.full((15, 15), FREE, dtype=np.uint8))
+    start = GroundPoint(*g.cell_center(7, 7))
+    points = [GroundPoint(*g.cell_center(*c)) for c in ((10, 8), (4, 8), (8, 4), (4, 6))]
+    return g, start, points[::step], 0
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_tour_case())
+@example(_open_tie_case(1))
+@example(_open_tie_case(-1))
+def test_order_waypoints_equals_full_search(case):
+    grid, start, points, margin = case
+    want = full_search_order_waypoints(start, points, grid)
+    with mock.patch.object(planner, "_LIMIT_MARGIN_CELLS", margin):
+        assert order_waypoints(start, points, grid) == want
+        assert order_waypoints(start, points, grid, CostField(grid)) == want
+
+
+def test_order_waypoints_retries_when_the_limit_cuts_a_tie_group():
+    # the two points tie on cost, but with no margin the first, bounded
+    # search from the start keeps only the second: its float cost is an
+    # ulp lower and equals the limit
+    g = grid_from(np.full((5, 8), FREE, dtype=np.uint8), resolution=0.3)
+    g.cells[3:5, 2] = OCCUPIED
+    start = GroundPoint(*g.cell_center(7, 2))
+    a = GroundPoint(*g.cell_center(0, 4))
+    b = GroundPoint(*g.cell_center(0, 0))
+    full = CostField(g).field(start)
+    with mock.patch.object(planner, "_LIMIT_MARGIN_CELLS", 0):
+        limit = planner._first_cost_limit(0.3, (7, 2), np.array([4, 0]), np.array([0, 0]))
+        assert full[0, 0] <= limit < full[4, 0] < full[0, 0] + COST_TIE
+        out = order_waypoints(start, [a, b], g)
+    assert out == [(a, True), (b, True)]
+    assert out == full_search_order_waypoints(start, [a, b], g)
+
+
+def test_order_waypoints_last_reachable_stop_needs_no_search(monkeypatch):
+    cells = np.full((9, 9), FREE, dtype=np.uint8)
+    cells[0:3, 5] = OCCUPIED  # wall sealing the top-right pocket
+    cells[2, 5:9] = OCCUPIED
+    g = grid_from(cells)
+    calls = []
+    field = CostField.field
+
+    def counted(self, start, limit=math.inf):
+        calls.append(limit)
+        return field(self, start, limit)
+
+    monkeypatch.setattr(CostField, "field", counted)
+    start = GroundPoint(*g.cell_center(0, 0))
+    sealed = GroundPoint(*g.cell_center(7, 0))
+    off_grid = GroundPoint(-1.0, 0.05)
+    on_wall = GroundPoint(*g.cell_center(5, 0))
+    open_points = [GroundPoint(*g.cell_center(c, 8)) for c in (4, 1, 7)]
+    out = order_waypoints(start, [sealed, open_points[0], off_grid, on_wall], g)
+    assert out == [(open_points[0], True), (sealed, False), (off_grid, False), (on_wall, False)]
+    assert calls == []
+    assert order_waypoints(start, [sealed], g) == [(sealed, False)]
+    assert calls == []
+    # one bounded search per stop but the last
+    out = order_waypoints(start, [sealed, *open_points], g)
+    assert [f for _, f in out] == [True, True, True, False]
+    assert len(calls) == 2 and all(math.isfinite(limit) for limit in calls)
+
+
+def test_order_waypoints_start_off_free_raises():
+    cells = np.full((5, 5), FREE, dtype=np.uint8)
+    cells[2, 2] = OCCUPIED
+    cells[0, 4] = UNKNOWN
+    g = grid_from(cells)
+    lone = [GroundPoint(*g.cell_center(0, 0))]
+    for start in ((2, 2), (4, 0)):
+        with pytest.raises(StartOccupied):
+            order_waypoints(GroundPoint(*g.cell_center(*start)), lone, g)
+    with pytest.raises(StartOccupied):
+        order_waypoints(GroundPoint(-1.0, 0.05), lone, g)
 
 
 def test_approach_goal_open_field_picks_near_side():
