@@ -10,10 +10,23 @@ line of sight, drive the plan on the believed pose, then hand control to
 the pickup FSM.  After a drive-through the robot backs off, turns, and
 looks again; if the item is still there it gets one retry episode.
 
-Localization is assumed good while mapping (the believed pose is pinned
-to ground truth), then dead-reckons with drift for the whole collection
-phase.  That split is what makes late-tour targets harder than early
-ones.
+Every robot motion runs through one tick loop, `_Runner._run`.  Each tick
+it stops once `max_time` has passed, senses, lets the motion choose a
+command (or end), steps the world, and asks the motion whether to stop.
+The motions differ only in that choice and in what they sense:
+
+- mapping motions (lane drives, sidestep jogs, lane-end spins) take a
+  range scan into the grid when one is due, capture camera frames, ingest
+  the frames whose detector latency has passed into the filter, and pin
+  the believed pose to ground truth after the step;
+- navigation, collection-phase reversing and turning to face a spot
+  sense nothing;
+- pickup episodes and the look-back after one capture frames and drain
+  the ready ones through a filter on the expected item position.
+
+Localization is assumed good while mapping, then dead-reckons with drift
+for the whole collection phase.  That split is what makes late-tour
+targets harder than early ones.
 
 `wall_time` in reports is simulated mission time, so identical runs
 produce byte-identical reports.
@@ -24,7 +37,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import count, product
+
+import numpy as np
 
 from .clusterfilter import (
     RawDetection,
@@ -44,7 +59,7 @@ from .geometry import (
     project_detection,
 )
 from .gridmap import FREE, OccupancyGrid, inflate, integrate_scan, morph_close_open, save_map
-from .pickup import MotionCommand, PickupPhase, TooFar, start_pickup
+from .pickup import STOP, MotionCommand, PickupPhase, TooFar, start_pickup, turn_toward
 from .pickup import step as pickup_step
 from .planner import CostField, StartOccupied, approach_goal, astar, order_waypoints
 from .posebuffer import OutOfRange, PoseBuffer, StampedPose, write_trajectory
@@ -63,12 +78,6 @@ MATCH_RADIUS = 0.5
 # at least this far from the target (the verify step backs off the same
 # meter before looking).  Halved standoffs shrink it proportionally.
 MIN_APPROACH = 1.0
-
-_STOP = MotionCommand()
-
-
-class Stuck(RuntimeError):
-    """Path following made no believed progress for the stall window."""
 
 
 @dataclass(frozen=True)
@@ -100,12 +109,17 @@ class MissionReport:
 
     @property
     def mean_map_error(self) -> float:
-        errs = [p.map_error for p in self.per_trash if math.isfinite(p.map_error)]
-        return sum(errs) / len(errs) if errs else float("nan")
+        return _finite_mean([p.map_error for p in self.per_trash])
+
+
+def _finite_mean(values: list[float]) -> float:
+    """Mean of the finite values; NaN when there are none."""
+    finite = [v for v in values if math.isfinite(v)]
+    return sum(finite) / len(finite) if finite else float("nan")
 
 
 class _StallTimer:
-    """Raises Stuck when the observed pose stops moving for too long."""
+    """Tells when the observed pose has stopped moving for too long."""
 
     def __init__(self, pose: Pose2D, eps: float = 0.01, window: float = 10.0):
         self._anchor = pose
@@ -113,27 +127,29 @@ class _StallTimer:
         self._window = window
         self._stalled = 0.0
 
-    def update(self, pose: Pose2D, dt: float) -> None:
+    def update(self, pose: Pose2D, dt: float) -> bool:
+        """Account one tick; True once the pose has stayed within eps of
+        its anchor for the whole window."""
         if distance(self._anchor.position, pose.position) > self._eps:
             self._anchor = pose
             self._stalled = 0.0
-            return
+            return False
         self._stalled += dt
-        if self._stalled >= self._window:
-            raise Stuck("no believed progress for the stall window")
+        return self._stalled >= self._window
 
 
 class PathFollower:
     """Waypoint chaser: rotate toward the active waypoint, then drive with
-    proportional steering.  Intermediate waypoints advance within
-    1.5 cell widths, the final one within one cell width."""
+    proportional steering.  The final waypoint counts as reached within
+    `reach`, intermediate ones advance within 1.5 x `reach` (navigation
+    passes one grid cell width)."""
 
     def __init__(
         self,
         waypoints: list[GroundPoint],
         speed: float,
         turn_rate: float,
-        resolution: float,
+        reach: float,
         align_threshold: float = 0.3,
     ):
         if not waypoints:
@@ -141,8 +157,8 @@ class PathFollower:
         self._wps = waypoints
         self._speed = speed
         self._turn = turn_rate
-        self._advance = 1.5 * resolution
-        self._final = resolution
+        self._advance = 1.5 * reach
+        self._final = reach
         self._align = align_threshold
         self._idx = 0
 
@@ -153,15 +169,46 @@ class PathFollower:
             self._idx += 1
         if self._idx == last and distance(pose.position, self._wps[last]) <= self._final:
             return None
-        wp = self._wps[self._idx]
         try:
-            err = angle_to(pose, wp)
+            err = angle_to(pose, self._wps[self._idx])
         except CoincidentPoint:
             err = 0.0
-        omega = math.copysign(min(self._turn, abs(err) / dt), err) if err else 0.0
+        omega = turn_toward(err, self._turn, dt)
         if abs(err) > self._align:
             return MotionCommand(0.0, omega)
         return MotionCommand(self._speed, omega)
+
+
+def _nearest_free(
+    grid: OccupancyGrid, x: float, y: float, max_radius: float = 0.6
+) -> GroundPoint | None:
+    """Center of the Free cell nearest to (x, y), or None if nothing Free
+    lies in the square rings around the cell under (x, y), clamped into the
+    grid, out to max_radius plus one cell.  The lowest ring wins, then the
+    distance to the unclamped (x, y) with 1e-12 slack, then the lower
+    (row, col)."""
+    res = grid.resolution
+    cx = min(max(x, 0.5 * res), grid.width * res - 0.5 * res)
+    cy = min(max(y, 0.5 * res), grid.height * res - 0.5 * res)
+    cell = grid.world_to_cell(cx, cy)
+    if cell is None:
+        return None
+    col0, row0 = cell
+    reach = int(math.ceil(max_radius / res)) + 1
+    row_lo, col_lo = max(row0 - reach, 0), max(col0 - reach, 0)
+    window = grid.cells[row_lo : row0 + reach + 1, col_lo : col0 + reach + 1]
+    rows, cols = np.nonzero(window == FREE)  # row-major order
+    if rows.size == 0:
+        return None
+    rows += row_lo
+    cols += col_lo
+    ring = np.maximum(np.abs(rows - row0), np.abs(cols - col0))
+    inner = ring == ring.min()
+    rows, cols = rows[inner], cols[inner]
+    px, py = grid.cell_center(cols, rows)
+    d = np.hypot(px - x, py - y)
+    best = int(np.argmax(d <= d.min() + 1e-12))
+    return GroundPoint(*grid.cell_center(int(cols[best]), int(rows[best])))
 
 
 class _Runner:
@@ -203,6 +250,40 @@ class _Runner:
     def pose(self) -> Pose2D:
         return self.world.robot.believed_pose
 
+    def _out_of_time(self) -> bool:
+        return self.world.t >= self.cfg.max_time
+
+    def _run(self, command, *, mapping=False, accept=None, after=None, ticks=None):
+        """The tick loop every motion runs in.
+
+        Each tick: stop once max_time has passed; sense; let
+        `command(detections)` choose this tick's command (None ends the
+        motion); step; stop when `after()` returns a truthy reason.  With
+        `mapping` the tick senses as the sweep does and pins the believed
+        pose to the truth; with an `accept` filter it captures frames and
+        hands `command` what `_drain` accepts; otherwise it senses nothing.
+        `ticks` bounds a fixed move.  Returns TIMED_OUT when max_time ran
+        out, the reason `after` gave, or None.
+        """
+        detections = None
+        for _ in count() if ticks is None else range(ticks):
+            if self._out_of_time():
+                return TIMED_OUT
+            if mapping:
+                self._sense_map()
+            elif accept is not None:
+                self._capture_frame()
+                detections = self._drain(self.world.t, accept)
+            cmd = command(detections)
+            if cmd is None:
+                return None
+            self._step(cmd, mapping)
+            if after is not None:
+                why = after()
+                if why:
+                    return why
+        return None
+
     def _step(self, cmd: MotionCommand, mapping: bool) -> None:
         self.world.step_world(cmd)
         if mapping:
@@ -211,23 +292,46 @@ class _Runner:
         self.buf.insert(sp)
         self.trajectory.append(sp)
 
-    def _out_of_time(self) -> bool:
-        return self.world.t >= self.cfg.max_time
+    def _ticks_for(self, amount: float, rate: float) -> int:
+        """Ticks a fixed move of `amount` (m, rad or s) at `rate` per second
+        takes, capped at the ticks left before max_time, where the loop
+        stops anyway; the cap keeps a vanishing rate from overflowing."""
+        dt = self.cfg.world.dt
+        per_tick = rate * dt
+        need = amount / per_tick if per_tick else math.inf
+        left = (self.cfg.max_time - self.world.t) / dt + 1.0
+        return math.ceil(min(need, left))
 
-    def _project(self, capture_t: float, boxes) -> list[tuple[GroundPoint, float]]:
-        """Boxes to map-frame points using the pose at capture time."""
-        try:
-            pose = self.buf.pose_at(capture_t)
-        except OutOfRange:
-            return []  # stale frame, older than the trajectory horizon
+    def _drain(self, until: float, accept) -> list:
+        """Project the boxes of every frame ready by `until` with the pose
+        at its capture time; returns, in arrival order, each non-None
+        `accept(capture_t, point, confidence)`.  Frames older than the
+        trajectory horizon are dropped."""
         out = []
-        for box in boxes:
+        for capture_t, boxes in self.frames.pop_ready(until):
             try:
-                point = project_detection(pose, box, self.cfg.camera)
-            except DegenerateDepth:
+                pose = self.buf.pose_at(capture_t)
+            except OutOfRange:
                 continue
-            out.append((point, box.confidence))
+            for box in boxes:
+                try:
+                    point = project_detection(pose, box, self.cfg.camera)
+                except DegenerateDepth:
+                    continue
+                kept = accept(capture_t, point, box.confidence)
+                if kept is not None:
+                    out.append(kept)
         return out
+
+    def _near(self, expected: GroundPoint):
+        """`_drain` filter of the collection phase: (point, confidence) of
+        detections within confirm_radius of the expected item."""
+        radius = self.cfg.confirm_radius
+        return lambda _t, point, conf: (point, conf) if distance(point, expected) <= radius else None
+
+    def _ingest_frames(self, until: float) -> None:
+        for det in self._drain(until, RawDetection):
+            self.hypotheses = ingest(self.hypotheses, det, self.cfg.filter)
 
     def _capture_frame(self) -> None:
         t = self.world.t
@@ -246,21 +350,23 @@ class _Runner:
             integrate_scan(self.grid, self.pose, scan)
             self._next_scan = t + self.cfg.scan_interval
         self._capture_frame()
-        self._ingest_ready()
+        self._ingest_frames(t)
 
-    def _ingest_ready(self) -> None:
-        for capture_t, boxes in self.frames.pop_ready(self.world.t):
-            for point, conf in self._project(capture_t, boxes):
-                self.hypotheses = ingest(
-                    self.hypotheses, RawDetection(capture_t, point, conf), self.cfg.filter
-                )
+    def _move(self, cmd, amount, rate, mapping=False, until_contact=False) -> None:
+        """Repeat one command for the ticks it takes to cover `amount` (m or
+        rad) at `rate`, optionally stopping at the first contact."""
+        after = (lambda: self.world.last_contact) if until_contact else None
+        self._run(lambda _: cmd, mapping=mapping, after=after, ticks=self._ticks_for(amount, rate))
+
+    def _reverse(self, dist: float, speed: float, mapping: bool = False) -> None:
+        """Back up a straight distance, stopping early on contact."""
+        self._move(MotionCommand(-speed, 0.0), dist, speed, mapping, until_contact=True)
 
     # ------------------------------------------------------------------ #
     # phase 1: survey
 
     def survey(self) -> None:
-        stream = aerial_survey(self.world, self.cfg.survey_lane_spacing)
-        for det in stream:
+        for det in aerial_survey(self.world, self.cfg.survey_lane_spacing):
             self.hypotheses = ingest(self.hypotheses, det, self.cfg.filter)
 
     # ------------------------------------------------------------------ #
@@ -271,35 +377,23 @@ class _Runner:
         sidestep jog so one obstacle does not shadow the rest of the lane;
         after too many contacts (or a stall) the sweep just moves on."""
         cfg = self.cfg
+        dt = cfg.world.dt
+        follower = PathFollower([wp], cfg.mapping_speed, cfg.turn_rate, reach)
         stall = _StallTimer(self.pose)
         jogs = 0
-        while not self._out_of_time():
-            self._sense_map()
-            pose = self.pose
-            if distance(pose.position, wp) <= reach:
-                return
-            try:
-                err = angle_to(pose, wp)
-            except CoincidentPoint:
-                return
-            dt = cfg.world.dt
-            omega = math.copysign(min(cfg.turn_rate, abs(err) / dt), err) if err else 0.0
-            if abs(err) > 0.3:
-                cmd = MotionCommand(0.0, omega)
-            else:
-                cmd = MotionCommand(cfg.mapping_speed, omega)
-            self._step(cmd, mapping=True)
-            if self.world.last_contact:
-                jogs += 1
-                if jogs > 4:
-                    return
-                self._jog_around()
-                stall = _StallTimer(self.pose)
-                continue
-            try:
-                stall.update(self.pose, dt)
-            except Stuck:
-                return
+
+        def after() -> bool:
+            nonlocal stall, jogs
+            if not self.world.last_contact:
+                return stall.update(self.pose, dt)
+            jogs += 1
+            if jogs > 4:
+                return True
+            self._jog_around()
+            stall = _StallTimer(self.pose)
+            return False
+
+        self._run(lambda _: follower.command(self.pose, dt), mapping=True, after=after)
 
     def _jog_around(self) -> None:
         """Sidestep after a contact: back off, turn a quarter toward the
@@ -307,49 +401,16 @@ class _Runner:
         blocker ends up on the map."""
         cfg = self.cfg
         self._reverse(0.4, cfg.mapping_speed, mapping=True)
-        pose = self.pose
         center = GroundPoint(cfg.world.arena_w / 2.0, cfg.world.arena_h / 2.0)
         try:
-            toward = angle_to(pose, center)
+            toward = angle_to(self.pose, center)
         except CoincidentPoint:
             toward = 0.0
         quarter = math.copysign(math.pi / 2.0, toward if toward else 1.0)
-        steps = int(math.ceil(abs(quarter) / (cfg.turn_rate * cfg.world.dt)))
-        for _ in range(steps):
-            if self._out_of_time():
-                return
-            self._sense_map()
-            self._step(MotionCommand(0.0, math.copysign(cfg.turn_rate, quarter)), mapping=True)
-        ahead = int(math.ceil(0.8 / (cfg.mapping_speed * cfg.world.dt)))
-        for _ in range(ahead):
-            if self._out_of_time():
-                return
-            self._sense_map()
-            self._step(MotionCommand(cfg.mapping_speed, 0.0), mapping=True)
-            if self.world.last_contact:
-                return
-
-    def _reverse(self, dist: float, speed: float, mapping: bool = False) -> None:
-        """Back up a straight distance, stopping early on contact."""
-        cfg = self.cfg
-        steps = int(math.ceil(dist / (speed * cfg.world.dt)))
-        for _ in range(steps):
-            if self._out_of_time():
-                return
-            if mapping:
-                self._sense_map()
-            self._step(MotionCommand(-speed, 0.0), mapping=mapping)
-            if self.world.last_contact:
-                return
-
-    def _spin(self, angle: float) -> None:
-        cfg = self.cfg
-        steps = int(math.ceil(angle / (cfg.turn_rate * cfg.world.dt)))
-        for _ in range(steps):
-            if self._out_of_time():
-                return
-            self._sense_map()
-            self._step(MotionCommand(0.0, cfg.turn_rate), mapping=True)
+        turn = MotionCommand(0.0, math.copysign(cfg.turn_rate, quarter))
+        self._move(turn, abs(quarter), cfg.turn_rate, mapping=True)
+        ahead = MotionCommand(cfg.mapping_speed, 0.0)
+        self._move(ahead, 0.8, cfg.mapping_speed, mapping=True, until_contact=True)
 
     def mapping_sweep(self) -> None:
         """Lawnmower coverage with a full look-around at each lane end,
@@ -357,73 +418,28 @@ class _Runner:
         cfg = self.cfg
         margin = 0.5
         arena_w, arena_h = cfg.world.arena_w, cfg.world.arena_h
-        lane_xs = []
-        x = margin
-        while x <= arena_w - margin + 1e-9:
-            lane_xs.append(x)
-            x += cfg.mapping_lane_spacing
         y_lo, y_hi = margin, arena_h - margin
-        upward = True
         waypoints: list[GroundPoint] = []
-        for lx in lane_xs:
+        x = margin
+        upward = True
+        while x <= arena_w - margin + 1e-9:
             ys = (y_lo, y_hi) if upward else (y_hi, y_lo)
-            waypoints.extend(GroundPoint(lx, y) for y in ys)
+            waypoints.extend(GroundPoint(x, y) for y in ys)
+            x += cfg.mapping_lane_spacing
             upward = not upward
+        spin = MotionCommand(0.0, cfg.turn_rate)
         for i, wp in enumerate(waypoints):
             if self._out_of_time():
                 break
             self._drive_to(wp, reach=0.2)
             if i % 2 == 1:
-                self._spin(2.0 * math.pi)
+                self._move(spin, 2.0 * math.pi, cfg.turn_rate, mapping=True)
         # frames still in the detector pipeline at phase end
-        for capture_t, boxes in self.frames.pop_ready(self.world.t + self.cfg.noise.detector_latency + 1.0):
-            for point, conf in self._project(capture_t, boxes):
-                self.hypotheses = ingest(
-                    self.hypotheses, RawDetection(capture_t, point, conf), self.cfg.filter
-                )
+        self._ingest_frames(self.world.t + cfg.noise.detector_latency + 1.0)
         self.grid = morph_close_open(self.grid)
 
     # ------------------------------------------------------------------ #
     # phases 3 and 4: tour and collection
-
-    def _nearest_free(self, x: float, y: float, max_radius: float = 0.6) -> GroundPoint | None:
-        """Center of the Free cell nearest to (x, y), or None if nothing
-        Free lies within max_radius.  Ring search, ties toward lower
-        (row, col)."""
-        grid = self.nav_grid
-        assert grid is not None
-        res = grid.resolution
-        span_x = grid.width * res
-        span_y = grid.height * res
-        cx = min(max(x, 0.5 * res), span_x - 0.5 * res)
-        cy = min(max(y, 0.5 * res), span_y - 0.5 * res)
-        cell = grid.world_to_cell(cx, cy)
-        if cell is None:
-            return None
-        col0, row0 = cell
-        max_r = int(math.ceil(max_radius / res)) + 1
-        for ring in range(max_r + 1):
-            best = None
-            best_d = math.inf
-            for row in range(row0 - ring, row0 + ring + 1):
-                if not 0 <= row < grid.height:
-                    continue
-                for col in range(col0 - ring, col0 + ring + 1):
-                    if max(abs(row - row0), abs(col - col0)) != ring:
-                        continue
-                    if not 0 <= col < grid.width:
-                        continue
-                    if grid.cells[row, col] != FREE:
-                        continue
-                    px, py = grid.cell_center(col, row)
-                    d = math.hypot(px - x, py - y)
-                    if d < best_d - 1e-12:
-                        best_d = d
-                        best = (col, row)
-            if best is not None:
-                px, py = grid.cell_center(best[0], best[1])
-                return GroundPoint(px, py)
-        return None
 
     def _navigate_to_standoff(self, target: GroundPoint) -> str:
         """Plan and drive to a standoff goal near the target.  Returns
@@ -431,7 +447,7 @@ class _Runner:
         cfg = self.cfg
         assert self.nav_grid is not None and self.cost_field is not None
         pose = self.pose
-        start = self._nearest_free(pose.x, pose.y)
+        start = _nearest_free(self.nav_grid, pose.x, pose.y)
         if start is None:
             return UNREACHABLE
         try:
@@ -453,22 +469,17 @@ class _Runner:
         follower = PathFollower(
             plan.waypoints, cfg.nav_speed, cfg.turn_rate, cfg.map_resolution
         )
+        dt = cfg.world.dt
         stall = _StallTimer(self.pose)
-        while True:
-            if self._out_of_time():
-                return TIMED_OUT
-            cmd = follower.command(self.pose, cfg.world.dt)
-            if cmd is None:
-                return "ok"
-            self._step(cmd, mapping=False)
-            try:
-                stall.update(self.pose, cfg.world.dt)
-            except Stuck:
-                return "stuck"
+        why = self._run(
+            lambda _: follower.command(self.pose, dt),
+            after=lambda: "stuck" if stall.update(self.pose, dt) else None,
+        )
+        return why or "ok"
 
-    def _pickup_episode(self, state, expected: GroundPoint) -> PickupPhase:
+    def _pickup_episode(self, state, expected: GroundPoint) -> bool:
         """Run one pickup FSM episode to a terminal phase (or the hard
-        cap), logging every step as a raw tuple."""
+        cap), logging every step as a raw tuple; True if it ended DONE."""
         cfg = self.cfg
         dt = cfg.world.dt
         t0 = self.world.t
@@ -479,37 +490,38 @@ class _Runner:
             + 5.0
         )
         log: list[tuple] = []
-        while state.phase not in (PickupPhase.DONE, PickupPhase.TIMED_OUT):
-            if self.world.t - t0 >= cap or self._out_of_time():
-                break
-            self._capture_frame()
-            detections = []
-            for capture_t, boxes in self.frames.pop_ready(self.world.t):
-                for point, conf in self._project(capture_t, boxes):
-                    if distance(point, expected) <= cfg.confirm_radius:
-                        detections.append((point, conf))
+
+        def command(detections):
+            nonlocal state
             state, cmd = pickup_step(state, self.pose, detections, cfg.pickup, dt)
             p = self.pose
             log.append(
                 (self.world.t, state.phase, cmd.v, cmd.omega, cmd.mechanism_on, p.x, p.y, p.theta)
             )
-            self._step(cmd, mapping=False)
+            return cmd
+
+        self._run(
+            command,
+            accept=self._near(expected),
+            after=lambda: state.phase in (PickupPhase.DONE, PickupPhase.TIMED_OUT)
+            or self.world.t - t0 >= cap,
+        )
         self.episode_logs.append(log)
-        if state.phase is PickupPhase.DONE:
-            return PickupPhase.DONE
-        return PickupPhase.TIMED_OUT
+        return state.phase is PickupPhase.DONE
 
     def _rotate_to_face(self, target: GroundPoint, tolerance: float = 0.2) -> None:
         cfg = self.cfg
-        while not self._out_of_time():
+
+        def command(_):
             try:
                 err = angle_to(self.pose, target)
             except CoincidentPoint:
-                return
+                return None
             if abs(err) <= tolerance:
-                return
-            omega = math.copysign(min(cfg.turn_rate, abs(err) / cfg.world.dt), err)
-            self._step(MotionCommand(0.0, omega), mapping=False)
+                return None
+            return MotionCommand(0.0, turn_toward(err, cfg.turn_rate, cfg.world.dt))
+
+        self._run(command)
 
     def _verify_gone(self, expected: GroundPoint) -> list[GroundPoint]:
         """Back off, turn around, and look at the spot just driven over.
@@ -522,20 +534,13 @@ class _Runner:
         self._reverse(1.0, cfg.pickup.drive_speed)
         self._rotate_to_face(expected)
         hold = cfg.noise.detector_latency + 3.0 * cfg.frame_interval + 0.2
-        steps = int(math.ceil(hold / cfg.world.dt))
         seen: list[GroundPoint] = []
-        for _ in range(steps):
-            if self._out_of_time():
-                break
-            self._capture_frame()
-            for capture_t, boxes in self.frames.pop_ready(self.world.t):
-                for point, conf in self._project(capture_t, boxes):
-                    if (
-                        conf >= cfg.pickup.confidence_threshold
-                        and distance(point, expected) <= cfg.confirm_radius
-                    ):
-                        seen.append(point)
-            self._step(_STOP, mapping=False)
+
+        def hold_still(detections):
+            seen.extend(p for p, conf in detections if conf >= cfg.pickup.confidence_threshold)
+            return STOP
+
+        self._run(hold_still, accept=self._near(expected), ticks=self._ticks_for(hold, 1.0))
         return seen
 
     def _collect_one(self, target: GroundPoint) -> str:
@@ -562,8 +567,7 @@ class _Runner:
                 if attempt == 1:
                     return UNREACHABLE
         assert state is not None
-        phase = self._pickup_episode(state, target)
-        if phase is not PickupPhase.DONE:
+        if not self._pickup_episode(state, target):
             return TIMED_OUT
         if cfg.pickup.reidentify:
             # look back at the spot; a leftover sighting earns one retry
@@ -586,7 +590,7 @@ class _Runner:
             return results
         self.nav_grid = inflate(self.grid, cfg.inflate_radius)
         self.cost_field = CostField(self.nav_grid)
-        start = self._nearest_free(self.pose.x, self.pose.y)
+        start = _nearest_free(self.nav_grid, self.pose.x, self.pose.y)
         points = [h.point for h in self.confirmed_list]
         if start is None:
             return {i: UNREACHABLE for i in range(len(points))}
@@ -722,24 +726,28 @@ def _run_trial(cfg: MissionConfig) -> tuple[MissionReport, _Runner]:
     return report, runner
 
 
+def _mapped(cfg: MissionConfig) -> _Runner:
+    """A runner that has flown the survey and swept the arena."""
+    runner = _Runner(cfg)
+    runner.survey()
+    runner.mapping_sweep()
+    return runner
+
+
 def run_mission(cfg: MissionConfig) -> MissionReport:
     """Run one mission (or pickup trial) and return its report, writing
     dump files when cfg.output_dir is set."""
     if cfg.scenario == "pickup_trial":
         report, runner = _run_trial(cfg)
+    else:
+        runner = _mapped(cfg)
+        map_file = ""
         if cfg.output_dir:
-            runner.dump(report, cfg.output_dir)
-        return report
-    runner = _Runner(cfg)
-    runner.survey()
-    runner.mapping_sweep()
-    map_file = ""
-    if cfg.output_dir:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        map_file = os.path.join(cfg.output_dir, "map.grid")
-        save_map(runner.grid, map_file)
-    results = runner.collect()
-    report = runner.build_report(results, map_file)
+            os.makedirs(cfg.output_dir, exist_ok=True)
+            map_file = os.path.join(cfg.output_dir, "map.grid")
+            save_map(runner.grid, map_file)
+        results = runner.collect()
+        report = runner.build_report(results, map_file)
     if cfg.output_dir:
         runner.dump(report, cfg.output_dir)
     return report
@@ -748,9 +756,7 @@ def run_mission(cfg: MissionConfig) -> MissionReport:
 def run_mapping(cfg: MissionConfig) -> tuple[OccupancyGrid, list[TrashHypothesis], World]:
     """Survey and mapping phases only; returns the cleaned grid, the
     confirmed hypotheses, and the world for inspection."""
-    runner = _Runner(cfg)
-    runner.survey()
-    runner.mapping_sweep()
+    runner = _mapped(cfg)
     return runner.grid, confirmed(runner.hypotheses, cfg.filter), runner.world
 
 
@@ -760,6 +766,13 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _write_csv(path: str, cols: list[str], rows: list[dict]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(cols) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
 
 
 def run_batch(
@@ -804,25 +817,18 @@ def run_batch(
             rows.append(row)
             combo_rows.append(row)
         n = len(combo_rows)
-        errs = [r["mean_map_error_m"] for r in combo_rows if math.isfinite(r["mean_map_error_m"])]
         agg = dict(zip(sweep_keys, combo))
         agg.update(
             n_runs=n,
             success_rate=sum(1 for r in combo_rows if r["success"]) / n,
-            mean_map_error_m=sum(errs) / len(errs) if errs else float("nan"),
+            mean_map_error_m=_finite_mean([r["mean_map_error_m"] for r in combo_rows]),
             mean_wall_time_s=sum(r["wall_time_s"] for r in combo_rows) / n,
         )
         aggregates.append(agg)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         run_cols = ["seed", *sweep_keys, "success", "n_collected", "n_trash", "mean_map_error_m", "wall_time_s"]
-        with open(os.path.join(out_dir, "runs.csv"), "w", encoding="utf-8") as fh:
-            fh.write(",".join(run_cols) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(row[c]) for c in run_cols) + "\n")
+        _write_csv(os.path.join(out_dir, "runs.csv"), run_cols, rows)
         agg_cols = [*sweep_keys, "n_runs", "success_rate", "mean_map_error_m", "mean_wall_time_s"]
-        with open(os.path.join(out_dir, "aggregate.csv"), "w", encoding="utf-8") as fh:
-            fh.write(",".join(agg_cols) + "\n")
-            for agg in aggregates:
-                fh.write(",".join(_fmt(agg[c]) for c in agg_cols) + "\n")
+        _write_csv(os.path.join(out_dir, "aggregate.csv"), agg_cols, aggregates)
     return rows, aggregates

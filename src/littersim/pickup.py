@@ -90,7 +90,13 @@ class MotionCommand:
     mechanism_on: bool = False
 
 
-_STOP = MotionCommand()
+STOP = MotionCommand()
+
+
+def turn_toward(err: float, rate: float, dt: float) -> float:
+    """Turn rate that cancels heading error `err` within one tick of `dt`,
+    clamped to `rate` (rad/s); zero when there is no error."""
+    return math.copysign(min(rate, abs(err) / dt), err) if err else 0.0
 
 
 @dataclass(frozen=True)
@@ -174,10 +180,10 @@ def step(
     if phase is PickupPhase.SPIN_SEARCH:
         for point, conf in detections:
             if conf >= cfg.confidence_threshold:
-                return _lock(state, robot, point, cfg), _STOP
+                return _lock(state, robot, point, cfg), STOP
         elapsed = state.elapsed + dt
         if elapsed > cfg.timeout:
-            return replace(state, phase=PickupPhase.TIMED_OUT, elapsed=elapsed), _STOP
+            return replace(state, phase=PickupPhase.TIMED_OUT, elapsed=elapsed), STOP
         return replace(state, elapsed=elapsed), MotionCommand(0.0, state.spin_omega)
 
     if phase is PickupPhase.ALIGN:
@@ -189,8 +195,7 @@ def step(
         if abs(err) <= cfg.align_tolerance:
             nxt = replace(state, phase=PickupPhase.DRIVE_THROUGH)
             return nxt, MotionCommand(cfg.drive_speed, 0.0, mechanism_on=True)
-        omega = math.copysign(min(cfg.spin_rate, abs(err) / dt), err)
-        return state, MotionCommand(0.0, omega)
+        return state, MotionCommand(0.0, turn_toward(err, cfg.spin_rate, dt))
 
     if phase is PickupPhase.DRIVE_THROUGH:
         ux, uy = state.axis  # type: ignore[misc]
@@ -198,7 +203,7 @@ def step(
         assert goal is not None
         past = (robot.x - goal.x) * ux + (robot.y - goal.y) * uy
         if past >= 0.0:
-            return replace(state, phase=PickupPhase.DONE), _STOP
+            return replace(state, phase=PickupPhase.DONE), STOP
         return state, MotionCommand(cfg.drive_speed, 0.0, mechanism_on=True)
 
-    return state, _STOP
+    return state, STOP

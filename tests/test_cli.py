@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import littersim
 from littersim.cli import _parse_seeds, _parse_sweep, main
 from littersim.config import ConfigError
 from littersim.gridmap import load_map
@@ -204,3 +207,30 @@ def test_batch_names_the_seed_whose_layout_fails(tmp_path, capsys):
         "config error: seed 4, world.obstacle_count=60: world layout: "
         "could not place obstacles"
     )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mission.turn_rate = 1e-309\n",
+        # rate * dt underflows to zero
+        "mission.turn_rate = 5e-324\n",
+    ],
+)
+def test_vanishing_rates_never_give_a_traceback(tmp_path, text):
+    # a lane-end spin at such a rate needs more ticks than an int can
+    # count; the count is capped at the ticks left before max_time
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(littersim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "littersim", "run", "--config", str(cfg)],
+        env=env, capture_output=True, text=True,
+    )
+    assert "Traceback" not in out.stderr
+    if out.returncode == 0:
+        assert "wall_time_s = " in out.stdout
+    else:
+        assert out.returncode == 1
+        assert out.stderr.startswith("config error: ")

@@ -3,18 +3,23 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import littersim
+from littersim import mission
 from littersim.clusterfilter import FilterConfig
 from littersim.config import ConfigError, MissionConfig, build_config
 from littersim.geometry import CameraModel, GroundPoint, Pose2D
-from littersim.gridmap import FREE, load_map
+from littersim.gridmap import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, load_map
 from littersim.mission import (
     COLLECTED,
     UNDETECTED,
     UNREACHABLE,
     PathFollower,
+    _nearest_free,
     run_batch,
     run_mapping,
     run_mission,
@@ -274,11 +279,11 @@ def test_write_report_bytes_are_stable(tmp_path):
 
 
 def test_path_follower_rotates_then_drives():
-    f = PathFollower([GroundPoint(1.0, 0.0)], speed=0.5, turn_rate=1.2, resolution=0.05)
+    f = PathFollower([GroundPoint(1.0, 0.0)], speed=0.5, turn_rate=1.2, reach=0.05)
     cmd = f.command(Pose2D(0.0, 0.0, math.pi / 2), 0.05)
     assert cmd.v == 0.0
     assert cmd.omega == pytest.approx(-1.2)
-    f2 = PathFollower([GroundPoint(1.0, 0.0)], speed=0.5, turn_rate=1.2, resolution=0.05)
+    f2 = PathFollower([GroundPoint(1.0, 0.0)], speed=0.5, turn_rate=1.2, reach=0.05)
     cmd2 = f2.command(Pose2D(0.0, 0.0, 0.0), 0.05)
     assert cmd2.v == 0.5
     assert cmd2.omega == 0.0
@@ -288,13 +293,13 @@ def test_path_follower_rotates_then_drives():
 
 def test_path_follower_advances_intermediate_waypoints():
     wps = [GroundPoint(0.5, 0.0), GroundPoint(1.0, 0.0)]
-    f = PathFollower(wps, speed=0.5, turn_rate=1.2, resolution=0.05)
+    f = PathFollower(wps, speed=0.5, turn_rate=1.2, reach=0.05)
     # within 1.5 cells of the first waypoint: chases the second instead
     cmd = f.command(Pose2D(0.43, 0.0, 0.0), 0.05)
     assert cmd.v == 0.5
     assert f._idx == 1
     with pytest.raises(ValueError):
-        PathFollower([], speed=0.5, turn_rate=1.2, resolution=0.05)
+        PathFollower([], speed=0.5, turn_rate=1.2, reach=0.05)
 
 
 def test_run_batch_rows_aggregates_and_csv(tmp_path):
@@ -342,3 +347,118 @@ def test_run_batch_without_sweep_or_seeds():
     assert aggs[0]["n_runs"] == 1
     with pytest.raises(ConfigError):
         run_batch({}, seeds=[], sweep=[])
+
+
+# names perfbench/tracer.py rebinds on the mission module to time each layer
+TRACED = (
+    "integrate_scan",
+    "project_detection",
+    "pickup_step",
+    "ingest",
+    "approach_goal",
+    "astar",
+    "order_waypoints",
+    "morph_close_open",
+    "inflate",
+    "save_map",
+    "aerial_survey",
+)
+
+
+def test_traced_layers_are_looked_up_on_the_mission_module(tmp_path, monkeypatch):
+    # a layer bound anywhere else would escape the wrapper and read 0 calls
+    calls = dict.fromkeys(TRACED, 0)
+    for name in TRACED:
+        original = getattr(mission, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mission, name, counted)
+    run_mission(build_config({"world.seed": ["0"]}, output_dir=str(tmp_path)))
+    assert [name for name, n in calls.items() if n == 0] == []
+
+
+def ring_search_nearest_free(grid, x, y, max_radius=0.6):
+    """The ring search `_nearest_free` replaced, kept as its reference:
+    rings of growing Chebyshev radius around the cell under the clamped
+    query, row-major within a ring, a later cell winning only when nearer
+    to the unclamped query by more than 1e-12."""
+    res = grid.resolution
+    span_x = grid.width * res
+    span_y = grid.height * res
+    cx = min(max(x, 0.5 * res), span_x - 0.5 * res)
+    cy = min(max(y, 0.5 * res), span_y - 0.5 * res)
+    cell = grid.world_to_cell(cx, cy)
+    if cell is None:
+        return None
+    col0, row0 = cell
+    max_r = int(math.ceil(max_radius / res)) + 1
+    for ring in range(max_r + 1):
+        best = None
+        best_d = math.inf
+        for row in range(row0 - ring, row0 + ring + 1):
+            if not 0 <= row < grid.height:
+                continue
+            for col in range(col0 - ring, col0 + ring + 1):
+                if max(abs(row - row0), abs(col - col0)) != ring:
+                    continue
+                if not 0 <= col < grid.width:
+                    continue
+                if grid.cells[row, col] != FREE:
+                    continue
+                px, py = grid.cell_center(col, row)
+                d = math.hypot(px - x, py - y)
+                if d < best_d - 1e-12:
+                    best_d = d
+                    best = (col, row)
+        if best is not None:
+            px, py = grid.cell_center(best[0], best[1])
+            return GroundPoint(px, py)
+    return None
+
+
+@st.composite
+def _free_queries(draw):
+    width = draw(st.integers(1, 14))
+    height = draw(st.integers(1, 14))
+    res = draw(st.sampled_from([0.05, 0.1, 0.25, 0.3, 1.0]))
+    # mostly the runner's origin; an offset one can put the clamped query
+    # off the grid
+    origin = draw(st.sampled_from([(0.0, 0.0)] * 6 + [(0.5, -0.25), (-1.0, 2.0)]))
+    grid = OccupancyGrid(width, height, res, Pose2D(origin[0], origin[1], 0.0))
+    p_free = draw(st.sampled_from([0.0, 0.1, 0.3, 0.3, 0.5, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid.cells[:] = np.where(
+        rng.random((height, width)) < p_free, FREE, rng.choice([OCCUPIED, UNKNOWN], (height, width))
+    )
+
+    def coord(span):
+        # half-cell lattice points give exact distance ties; the range
+        # reaches well outside the grid on both sides
+        lattice = st.integers(-8, int(round(2 * span / res)) + 8).map(lambda k: k * 0.5 * res)
+        return st.one_of(lattice, lattice, st.floats(-2.0, span + 2.0))
+
+    x = draw(coord(width * res))
+    y = draw(coord(height * res))
+    max_radius = draw(st.sampled_from([0.0, 0.1, 0.6, 0.6, 2.0]))
+    return grid, x, y, max_radius
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_free_queries())
+def test_nearest_free_equals_the_ring_search(case):
+    grid, x, y, max_radius = case
+    assert _nearest_free(grid, x, y, max_radius) == ring_search_nearest_free(grid, x, y, max_radius)
+
+
+def test_nearest_free_breaks_exact_ties_toward_lower_row_then_col():
+    grid = OccupancyGrid(4, 4, 1.0, Pose2D(0.0, 0.0, 0.0))
+    grid.cells[:] = OCCUPIED
+    # the query sits on the corner shared by four cells; only the two
+    # diagonal ones are Free and both lie at the same distance
+    grid.cells[1, 2] = FREE
+    grid.cells[2, 1] = FREE
+    assert _nearest_free(grid, 2.0, 2.0) == GroundPoint(2.5, 1.5)
+    assert ring_search_nearest_free(grid, 2.0, 2.0) == GroundPoint(2.5, 1.5)

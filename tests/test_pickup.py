@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from littersim.geometry import GroundPoint, Pose2D, wrap_angle
 from littersim.pickup import (
@@ -12,6 +14,7 @@ from littersim.pickup import (
     TooFar,
     start_pickup,
     step,
+    turn_toward,
 )
 
 
@@ -279,3 +282,39 @@ def test_config_validation():
         PickupConfig(brush_halfwidth=0.0)
     # boundary that must be accepted
     PickupConfig(timeout=4.0 * math.pi, spin_rate=0.5, confidence_threshold=0.0)
+
+
+def inline_turn_toward(err, rate, dt):
+    """The turn-toward rule as the path follower, the lane drive, the turn
+    to face a spot and the ALIGN phase each wrote it inline.  The last two
+    had no zero guard but only ran with |err| above a positive tolerance."""
+    return math.copysign(min(rate, abs(err) / dt), err) if err else 0.0
+
+
+def _same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(-math.pi, math.pi),
+    st.floats(1e-309, 10.0),
+    st.sampled_from([1e-3, 0.01, 0.05, 0.1, 0.5]),
+)
+@example(0.0, 1.2, 0.05)
+@example(-0.0, 1.2, 0.05)
+@example(0.01, 1.2, 0.05)  # |err|/dt = 0.2 < rate: cancels the error in one tick
+@example(-0.01, 1.2, 0.05)
+@example(0.3, 1.2, 0.05)  # |err|/dt = 6 > rate: clamped
+@example(-math.pi, 1e-309, 0.05)
+def test_turn_toward_equals_the_inline_rule(err, rate, dt):
+    got = turn_toward(err, rate, dt)
+    assert _same_float(got, inline_turn_toward(err, rate, dt))
+    if err:
+        assert _same_float(got, math.copysign(min(rate, abs(err) / dt), err))
+    else:
+        assert _same_float(got, 0.0)
+    if abs(err) / dt < rate:
+        assert got == err / dt
+    else:
+        assert abs(got) == rate
