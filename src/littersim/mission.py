@@ -121,21 +121,19 @@ def _finite_mean(values: list[float]) -> float:
 class _StallTimer:
     """Tells when the observed pose has stopped moving for too long."""
 
-    def __init__(self, pose: Pose2D, eps: float = 0.01, window: float = 10.0):
+    def __init__(self, pose: Pose2D):
         self._anchor = pose
-        self._eps = eps
-        self._window = window
         self._stalled = 0.0
 
     def update(self, pose: Pose2D, dt: float) -> bool:
-        """Account one tick; True once the pose has stayed within eps of
-        its anchor for the whole window."""
-        if distance(self._anchor.position, pose.position) > self._eps:
+        """Account one tick; True once the pose has stayed within 1 cm of
+        its anchor for 10 s."""
+        if distance(self._anchor.position, pose.position) > 0.01:
             self._anchor = pose
             self._stalled = 0.0
             return False
         self._stalled += dt
-        return self._stalled >= self._window
+        return self._stalled >= 10.0
 
 
 class PathFollower:
@@ -253,7 +251,9 @@ class _Runner:
     def _out_of_time(self) -> bool:
         return self.world.t >= self.cfg.max_time
 
-    def _run(self, command, *, mapping=False, accept=None, after=None, ticks=None):
+    def _run(
+        self, command, *, mapping: bool = False, accept=None, after=None, ticks: int | None = None
+    ) -> str | None:
         """The tick loop every motion runs in.
 
         Each tick: stop once max_time has passed; sense; let
@@ -265,15 +265,17 @@ class _Runner:
         `ticks` bounds a fixed move.  Returns TIMED_OUT when max_time ran
         out, the reason `after` gave, or None.
         """
+        world = self.world
+        max_time = self.cfg.max_time
         detections = None
         for _ in count() if ticks is None else range(ticks):
-            if self._out_of_time():
+            if world.t >= max_time:
                 return TIMED_OUT
             if mapping:
                 self._sense_map()
             elif accept is not None:
                 self._capture_frame()
-                detections = self._drain(self.world.t, accept)
+                detections = self._drain(world.t, accept)
             cmd = command(detections)
             if cmd is None:
                 return None
@@ -352,7 +354,10 @@ class _Runner:
         self._capture_frame()
         self._ingest_frames(t)
 
-    def _move(self, cmd, amount, rate, mapping=False, until_contact=False) -> None:
+    def _move(
+        self, cmd: MotionCommand, amount: float, rate: float,
+        mapping: bool = False, until_contact: bool = False,
+    ) -> None:
         """Repeat one command for the ticks it takes to cover `amount` (m or
         rad) at `rate`, optionally stopping at the first contact."""
         after = (lambda: self.world.last_contact) if until_contact else None
@@ -366,7 +371,8 @@ class _Runner:
     # phase 1: survey
 
     def survey(self) -> None:
-        for det in aerial_survey(self.world, self.cfg.survey_lane_spacing):
+        stream = aerial_survey(self.world, self.cfg.survey_lane_spacing)
+        for det in stream:
             self.hypotheses = ingest(self.hypotheses, det, self.cfg.filter)
 
     # ------------------------------------------------------------------ #
@@ -491,6 +497,10 @@ class _Runner:
         )
         log: list[tuple] = []
 
+        def finished() -> bool:
+            terminal = state.phase in (PickupPhase.DONE, PickupPhase.TIMED_OUT)
+            return terminal or self.world.t - t0 >= cap
+
         def command(detections):
             nonlocal state
             state, cmd = pickup_step(state, self.pose, detections, cfg.pickup, dt)
@@ -500,12 +510,7 @@ class _Runner:
             )
             return cmd
 
-        self._run(
-            command,
-            accept=self._near(expected),
-            after=lambda: state.phase in (PickupPhase.DONE, PickupPhase.TIMED_OUT)
-            or self.world.t - t0 >= cap,
-        )
+        self._run(command, accept=self._near(expected), after=finished)
         self.episode_logs.append(log)
         return state.phase is PickupPhase.DONE
 
