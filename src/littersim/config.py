@@ -19,6 +19,8 @@ from .pickup import ACTIVATION_RADIUS, PickupConfig
 from .simworld import PHANTOM_MAX_HALF, NoiseModel, Rect, WorldConfig
 
 SCENARIOS = ("full", "pickup_trial")
+# the sidestep after a contact first backs off this far, meters
+JOG_REVERSE = 0.4
 
 
 class ConfigError(ValueError):
@@ -96,6 +98,18 @@ class MissionConfig:
         for name, value in positive.items():
             if not value > 0.0 or not math.isfinite(value):
                 raise ConfigError(f"mission.{name}: must be positive, got {value!r}")
+        if self.scenario == "full":
+            # a full mission must be able to finish one lane-end spin and
+            # one jog's reverse within its time budget
+            for name, motion, need in (
+                ("turn_rate", "a lane-end spin", 2.0 * math.pi / self.turn_rate),
+                ("mapping_speed", "a jog's reverse", JOG_REVERSE / self.mapping_speed),
+            ):
+                if need > self.max_time:
+                    raise ConfigError(
+                        f"mission.{name}: {motion} takes {need:g} s, longer than "
+                        f"mission.max_time {self.max_time!r}"
+                    )
         if self.inflate_radius < 0.0:
             raise ConfigError("mission.inflate_radius: must be non-negative")
         if self.n_beams < 2:

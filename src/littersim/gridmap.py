@@ -48,9 +48,6 @@ class StructuringElement:
         if self.size < 1 or self.size % 2 == 0:
             raise ValueError("structuring element size must be odd and >= 1")
 
-    def footprint(self) -> np.ndarray:
-        return np.ones((self.size, self.size), dtype=bool)
-
 
 class OccupancyGrid:
     """Dense tri-state grid over a rotated rectangle of the map frame."""
@@ -244,23 +241,54 @@ def integrate_scan(
     grid.cells[rows[occupied], cols[occupied]] = OCCUPIED
 
 
+def _window_count(mask: np.ndarray, half: int, axis: int) -> np.ndarray:
+    """True cells of `mask` in the window [i - half, i + half] along `axis`,
+    for every i; out-of-array cells count as False.  One prefix sum, laid
+    out with half + 1 zeros before it and half copies of the total after."""
+
+    def along(start: int, stop: int | None = None) -> tuple[slice, ...]:
+        return (slice(None),) * axis + (slice(start, stop),)
+
+    n = mask.shape[axis]
+    shape = list(mask.shape)
+    shape[axis] = n + 2 * half + 1
+    c = np.zeros(shape, dtype=np.int32)
+    np.cumsum(mask, axis=axis, out=c[along(half + 1, half + 1 + n)])
+    c[along(half + 1 + n)] = c[along(half + n, half + n + 1)]
+    return c[along(2 * half + 1)] - c[along(0, n)]
+
+
+def _dilate(mask: np.ndarray, se: StructuringElement) -> np.ndarray:
+    half = se.size // 2
+    for axis in (0, 1):
+        mask = _window_count(mask, half, axis) > 0
+    return mask
+
+
+def _erode(mask: np.ndarray, se: StructuringElement) -> np.ndarray:
+    half = se.size // 2
+    for axis in (0, 1):
+        mask = _window_count(mask, half, axis) == se.size
+    return mask
+
+
 def close_occupied(mask: np.ndarray, se: StructuringElement) -> np.ndarray:
-    """Morphological closing (dilate, then erode) of a boolean mask.
+    """Morphological closing (dilate, then erode) of a boolean mask by the
+    se.size x se.size square.
 
-    Out-of-array cells count as empty for both passes.
+    Out-of-array cells count as False for both passes, so erosion clears
+    every cell within se.size // 2 of the array edge.  The square is the
+    product of two 1-D windows, so each pass runs once per axis: a cell
+    dilates to True when its window holds any True cell and erodes to True
+    when its window holds se.size of them.
     """
-    from scipy import ndimage
-
-    fp = se.footprint()
-    return ndimage.binary_erosion(ndimage.binary_dilation(mask, fp), fp)
+    return _erode(_dilate(mask, se), se)
 
 
 def open_occupied(mask: np.ndarray, se: StructuringElement) -> np.ndarray:
-    """Morphological opening (erode, then dilate) of a boolean mask."""
-    from scipy import ndimage
-
-    fp = se.footprint()
-    return ndimage.binary_dilation(ndimage.binary_erosion(mask, fp), fp)
+    """Morphological opening (erode, then dilate) of a boolean mask, with
+    the same square and out-of-array rule as `close_occupied`."""
+    return _dilate(_erode(mask, se), se)
 
 
 def morph_close_open(grid: OccupancyGrid, se: StructuringElement = StructuringElement()) -> OccupancyGrid:
@@ -291,18 +319,48 @@ def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
     Every Free cell whose center lies within `radius` of an Occupied cell
     center becomes Occupied.  Unknown cells are untouched (they are already
     untraversable for planning).  radius 0 returns an identical copy.
+
+    "Within" is the disk of cell offsets (di, dj) with
+    math.sqrt(di*di + dj*dj) <= radius / resolution + 1e-9.  The squared
+    offset is an exact integer and sqrt is correctly rounded, so this is
+    the rule a Euclidean distance transform thresholded at the same bound
+    gives.  Each row offset di of the disk dilates the Occupied mask along
+    the row by its half-width and shifts it by di rows, which costs
+    O(radius * cells).
     """
     if radius < 0.0:
         raise ValueError("inflation radius must be non-negative")
     out = grid.copy()
-    if radius == 0.0 or not (grid.cells == OCCUPIED).any():
+    occupied = grid.cells == OCCUPIED
+    if radius == 0.0 or not occupied.any():
         return out
-    from scipy import ndimage
-
-    dist = ndimage.distance_transform_edt(grid.cells != OCCUPIED)
-    within = dist <= (radius / grid.resolution) + 1e-9
+    H, W = occupied.shape
+    # every in-grid offset is shorter than H + W, so a larger bound admits
+    # the same cells
+    bound = min((radius / grid.resolution) + 1e-9, float(H + W))
+    within = np.zeros_like(occupied)
+    dilated: dict[int, np.ndarray] = {}  # half-width -> row-dilated mask
+    m = min(math.floor(bound), H - 1)
+    for di in range(-m, m + 1):
+        w = min(_half_width(di, bound), W - 1)
+        if w not in dilated:
+            dilated[w] = _window_count(occupied, w, 1) > 0
+        # cell (r, c) is within when an Occupied cell (r - di, c') has
+        # |c - c'| <= w
+        within[max(di, 0) : H + min(di, 0)] |= dilated[w][max(-di, 0) : H - max(di, 0)]
     out.cells[within & (grid.cells == FREE)] = OCCUPIED
     return out
+
+
+def _half_width(di: int, bound: float) -> int:
+    """Largest dj with math.sqrt(di*di + dj*dj) <= bound, for a row offset
+    with |di| <= bound."""
+    w = int(math.sqrt(bound * bound - di * di))
+    while math.sqrt(di * di + (w + 1) * (w + 1)) <= bound:
+        w += 1
+    while math.sqrt(di * di + w * w) > bound:
+        w -= 1
+    return w
 
 
 def save_map(grid: OccupancyGrid, path: str) -> None:

@@ -48,7 +48,7 @@ from .clusterfilter import (
     ingest,
     write_hypotheses,
 )
-from .config import ConfigError, MissionConfig, apply_override, build_config
+from .config import JOG_REVERSE, ConfigError, MissionConfig, apply_override, build_config
 from .geometry import (
     CoincidentPoint,
     DegenerateDepth,
@@ -406,7 +406,7 @@ class _Runner:
         arena center, advance past the obstruction.  Keeps sensing so the
         blocker ends up on the map."""
         cfg = self.cfg
-        self._reverse(0.4, cfg.mapping_speed, mapping=True)
+        self._reverse(JOG_REVERSE, cfg.mapping_speed, mapping=True)
         center = GroundPoint(cfg.world.arena_w / 2.0, cfg.world.arena_h / 2.0)
         try:
             toward = angle_to(self.pose, center)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -186,15 +185,22 @@ class CostField:
         costs = dijkstra(self._graph, indices=s[1] * self.grid.width + s[0], limit=limit)
         return costs.reshape((self.grid.height, self.grid.width))
 
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """8-connected component label of every cell, [row, col]: 0 on
-        non-Free cells, and two Free cells share a positive label exactly
-        when the graph joins them by a path.  Computed on first use."""
-        from scipy import ndimage
+    def reachable(self, start: GroundPoint) -> np.ndarray:
+        """Boolean mask [row, col] of the cells the graph joins to start's
+        cell by a path, start's cell included: a breadth-first search.
 
-        labels, _ = ndimage.label(self.grid.cells == FREE, structure=np.ones((3, 3)))
-        return labels
+        Raises:
+            StartOccupied: when the start cell is off-grid or not Free.
+        """
+        from scipy.sparse.csgraph import breadth_first_order
+
+        s = _start_cell(self.grid, start)
+        nodes = breadth_first_order(
+            self._graph, s[1] * self.grid.width + s[0], return_predecessors=False
+        )
+        mask = np.zeros(self.grid.height * self.grid.width, dtype=bool)
+        mask[nodes] = True
+        return mask.reshape((self.grid.height, self.grid.width))
 
 
 def _start_cell(grid: OccupancyGrid, start: GroundPoint) -> tuple[int, int]:
@@ -222,14 +228,15 @@ def order_waypoints(
     the input length.  Pass a `cost_field` already built over `grid` to
     skip building another.
 
-    Reachability needs no search: a point is reachable when its cell is a
-    Free cell in the start cell's 8-connected component
-    (`CostField.labels`), and every stop stays in that component.  Points
-    off the grid, on non-Free cells or in another component are never
-    chosen.  While two or more reachable points remain, each stop's path
-    costs are first searched only to the octile distance of the nearest
-    one, which no path beats, plus a few cells.  Costs within that limit
-    are bit for bit the unbounded ones, and costlier points read inf.
+    Reachability takes one breadth-first search, not a cost search per
+    stop: a point is reachable when its cell is in the start cell's
+    8-connected component (`CostField.reachable`), and every stop stays in
+    that component.  Points off the grid, on non-Free cells or in another
+    component are never chosen.  While two or more reachable points
+    remain, each stop's path costs are first searched only to the octile
+    distance of the nearest one, which no path beats, plus a few cells.
+    Costs within that limit are bit for bit the unbounded ones, and
+    costlier points read inf.
     Distinct 8-connected path costs lie far more than 2 * COST_TIE apart,
     while equal ones differ only in rounding, far below COST_TIE; so the
     scan picks the input-order first point of the cheapest cost group.
@@ -246,13 +253,12 @@ def order_waypoints(
         return []
     cf = cost_field if cost_field is not None else CostField(grid)
     cell = _start_cell(grid, start)
-    labels = cf.labels
-    home = labels[cell[1], cell[0]]
+    reach = cf.reachable(start)
     reachable: list[tuple[tuple[int, int], GroundPoint]] = []
     unreachable: list[GroundPoint] = []
     for p in trash:
         c = grid.world_to_cell(p.x, p.y)
-        if c is not None and labels[c[1], c[0]] == home:
+        if c is not None and reach[c[1], c[0]]:
             reachable.append((c, p))
         else:
             unreachable.append(p)

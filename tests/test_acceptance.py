@@ -12,6 +12,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from littersim.clusterfilter import (
     FilterConfig,
@@ -414,6 +415,7 @@ def test_criterion_08_trial_success_falls_with_distance():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_mission_success_falls_with_clutter():
     t0 = time.monotonic()
     rows, aggs = run_batch(
@@ -446,6 +448,7 @@ def _two_proportion_p(k1: int, n1: int, k2: int, n2: int) -> tuple[float, float]
     return z, math.erfc(abs(z) / math.sqrt(2.0))
 
 
+@pytest.mark.slow
 def test_criterion_10_reidentification_ablation_is_significant():
     raw = {
         "world.arena_w": ["5.0"],
@@ -493,6 +496,7 @@ def test_criterion_11_reruns_are_byte_identical(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_12_confirmed_hypotheses_sit_on_real_items():
     good = 0
     n = 100

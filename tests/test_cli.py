@@ -173,6 +173,16 @@ def test_unknown_override_key_exits_1(tmp_path, capsys):
         ("camera.image_width = 40\n", "camera.image_width: must be at least 48 px"),
         ("camera.image_height = 40\n", "camera.image_height: must be at least 48 px"),
         ("pickup.align_tolerance = -1\n", "align_tolerance must be positive"),
+        ("mission.turn_rate = 1e-309\n", "mission.turn_rate: a lane-end spin takes inf s"),
+        (
+            "mission.turn_rate = 0.1\nmission.max_time = 60\n",
+            "mission.turn_rate: a lane-end spin takes 62.8319 s, longer than "
+            "mission.max_time 60.0",
+        ),
+        (
+            "mission.mapping_speed = 0.0001\n",
+            "mission.mapping_speed: a jog's reverse takes 4000 s",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["run", "map", "batch"])

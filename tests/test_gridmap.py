@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from littersim.geometry import Pose2D
 from littersim.gridmap import (
@@ -406,6 +407,106 @@ def test_inflate_zero_radius_is_copy():
     assert out == g and out is not g
     with pytest.raises(ValueError):
         inflate(g, -0.1)
+
+
+def ndimage_close(mask, size):
+    """Closing as `close_occupied` computed it with scipy.ndimage."""
+    fp = np.ones((size, size), dtype=bool)
+    return ndimage.binary_erosion(ndimage.binary_dilation(mask, fp), fp)
+
+
+def ndimage_open(mask, size):
+    fp = np.ones((size, size), dtype=bool)
+    return ndimage.binary_dilation(ndimage.binary_erosion(mask, fp), fp)
+
+
+def ndimage_inflate(grid, radius):
+    """Inflation as `inflate` computed it with a Euclidean distance
+    transform."""
+    out = grid.copy()
+    if radius > 0.0 and (grid.cells == OCCUPIED).any():
+        dist = ndimage.distance_transform_edt(grid.cells != OCCUPIED)
+        within = dist <= (radius / grid.resolution) + 1e-9
+        out.cells[within & (grid.cells == FREE)] = OCCUPIED
+    return out
+
+
+# 1x1, 1xN, Nx1 and larger arrays
+_SHAPES = st.one_of(
+    st.just((1, 1)),
+    st.tuples(st.just(1), st.integers(1, 25)),
+    st.tuples(st.integers(1, 25), st.just(1)),
+    st.tuples(st.integers(1, 25), st.integers(1, 25)),
+)
+
+
+@st.composite
+def _mask(draw):
+    shape = draw(_SHAPES)
+    fill = draw(st.sampled_from(["random", "all_true", "all_false"]))
+    if fill != "random":
+        return np.full(shape, fill == "all_true")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random(shape) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_mask(), st.sampled_from([1, 3, 5, 7]))
+def test_morphology_equals_ndimage_reference(mask, size):
+    se = StructuringElement(size)
+    assert np.array_equal(close_occupied(mask, se), ndimage_close(mask, size))
+    assert np.array_equal(open_occupied(mask, se), ndimage_open(mask, size))
+
+
+def _bound_on_ring(n, res):
+    """A radius whose inflation bound, radius / res + 1e-9, is exactly
+    math.sqrt(n), the distance of a ring of cells, or None."""
+    ring = math.sqrt(n)
+    for k in (ring - 1e-9, math.nextafter(ring - 1e-9, 0.0), math.nextafter(ring - 1e-9, 9.0)):
+        if (k * res / res) + 1e-9 == ring:
+            return k * res
+    return None
+
+
+@st.composite
+def _inflate_case(draw):
+    shape = draw(_SHAPES)
+    res = draw(st.sampled_from([0.05, 0.07, 0.1, 0.25]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.choice(
+        np.array([FREE, OCCUPIED, UNKNOWN], dtype=np.uint8),
+        size=shape,
+        p=draw(st.sampled_from([(0.8, 0.1, 0.1), (0.97, 0.03, 0.0), (0.5, 0.3, 0.2)])),
+    )
+    grid = grid_from(cells)
+    grid.resolution = res
+    diagonal = res * math.hypot(*shape)
+    radius = draw(st.one_of(
+        st.just(0.0),
+        # the rings of cells at offsets (1, 0), (1, 1), (2, 0) and (2, 1)
+        st.sampled_from([res, res * math.sqrt(2), 2 * res, res * math.sqrt(5)]),
+        # a hair inside and outside a ring
+        st.sampled_from([1, math.sqrt(2), 2, math.sqrt(5), 3, math.sqrt(13)]).flatmap(
+            lambda k: st.sampled_from([k * res * (1 - 1e-12), k * res * (1 + 1e-12)])
+        ),
+        # the bound itself on a ring: cells there are within
+        st.sampled_from([1, 2, 4, 5, 8, 9, 13])
+        .map(lambda n: _bound_on_ring(n, res))
+        .filter(lambda r: r is not None),
+        st.floats(0.0, 8 * res),
+        # past the grid's diagonal: every Free cell in reach
+        st.floats(diagonal, 10 * diagonal),
+    ))
+    return grid, radius
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_inflate_case())
+def test_inflate_equals_distance_transform_reference(case):
+    grid, radius = case
+    out = inflate(grid, radius)
+    assert np.array_equal(out.cells, ndimage_inflate(grid, radius).cells)
+    assert out is not grid
 
 
 def test_save_load_round_trip(tmp_path):

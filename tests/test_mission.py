@@ -223,6 +223,27 @@ def test_pickup_trial_loads_no_scipy_morphology_or_graph_module():
     assert out.stdout.strip() == "[]"
 
 
+def test_full_mission_loads_no_scipy_morphology_module(tmp_path):
+    # a fresh interpreter: map cleanup, inflation and tour reachability run
+    # on numpy and the sparse graph alone
+    code = (
+        "import sys\n"
+        "import littersim\n"
+        "from littersim.config import build_config\n"
+        f"report = littersim.run_mission(build_config({{}}, {str(tmp_path)!r}))\n"
+        "assert report.per_trash\n"
+        "print('scipy.ndimage' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(littersim.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+    assert os.path.exists(os.path.join(tmp_path, "map.grid"))
+
+
 def test_trial_rerun_is_identical_under_full_noise():
     cfg = make_cfg(
         trash=(),

@@ -267,18 +267,23 @@ def test_cost_field_csr_equals_coo_reference(shape, fill):
 @pytest.mark.parametrize(
     "shape,fill", _GRID_FILLS + [((7, 9), "checker"), ((30, 40), "sparse")]
 )
-def test_cost_field_labels_are_the_graph_components(shape, fill):
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cost_field_reachable_is_the_start_component(shape, fill, data):
     g = filled_grid(shape, fill)
-    labels = CostField(g).labels
-    free = (g.cells == FREE).ravel()
-    assert labels.shape == g.cells.shape
-    assert (labels.ravel()[~free] == 0).all()
-    _, comp = connected_components(CostField(g)._graph, directed=False)
-    got, want = labels.ravel()[free], comp[free]
-    assert (got > 0).all()
-    # the same partition of the Free cells: the label pairs match one to one
-    pairs = set(zip(got.tolist(), want.tolist()))
-    assert len(pairs) == len(set(got.tolist())) == len(set(want.tolist()))
+    cf = CostField(g)
+    row = data.draw(st.integers(0, g.height - 1))
+    col = data.draw(st.integers(0, g.width - 1))
+    start = GroundPoint(*g.cell_center(col, row))
+    if g.cells[row, col] != FREE:
+        with pytest.raises(StartOccupied):
+            cf.reachable(start)
+        return
+    # non-Free cells are isolated nodes, so only Free cells share the
+    # start's component
+    _, comp = connected_components(cf._graph, directed=False)
+    want = (comp == comp[row * g.width + col]).reshape(g.cells.shape)
+    assert np.array_equal(cf.reachable(start), want)
 
 
 def order_oracle(grid, start, points):
