@@ -267,6 +267,33 @@ def test_cost_field_csr_equals_coo_reference(shape, fill):
 @pytest.mark.parametrize(
     "shape,fill", _GRID_FILLS + [((7, 9), "checker"), ((30, 40), "sparse")]
 )
+def test_cost_field_labels_are_the_graph_components(shape, fill):
+    # label every Free cell by the reachable mask of the first unlabelled
+    # Free cell in row-major order; the labelling must be the graph's
+    # partition of the Free cells, and reach no non-Free cell
+    g = filled_grid(shape, fill)
+    cf = CostField(g)
+    free = g.cells == FREE
+    labels = np.zeros(g.cells.shape, dtype=np.int64)
+    for row, col in zip(*np.nonzero(free)):
+        if labels[row, col]:
+            continue
+        mask = cf.reachable(GroundPoint(*g.cell_center(col, row)))
+        assert not (mask & ~free).any()
+        assert not labels[mask].any()  # components never overlap
+        labels[mask] = labels.max() + 1
+    assert (labels[~free] == 0).all()
+    _, comp = connected_components(cf._graph, directed=False)
+    got, want = labels[free], comp.reshape(g.cells.shape)[free]
+    assert (got > 0).all()
+    # the same partition of the Free cells: the label pairs match one to one
+    pairs = set(zip(got.tolist(), want.tolist()))
+    assert len(pairs) == len(set(got.tolist())) == len(set(want.tolist()))
+
+
+@pytest.mark.parametrize(
+    "shape,fill", _GRID_FILLS + [((7, 9), "checker"), ((30, 40), "sparse")]
+)
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_cost_field_reachable_is_the_start_component(shape, fill, data):
