@@ -4,14 +4,16 @@ Config files are plain text, one `section.key = value` assignment per
 line, `#` comments, blank lines ignored.  Two keys are repeatable and
 accumulate: `world.obstacle = x0 y0 x1 y1` and `world.trash = x y [mass]`.
 Every other key holds a single scalar; assigning it twice keeps the last
-value.  Unknown keys are errors, not warnings, so typos cannot silently
-fall back to defaults.  The same key syntax drives batch sweep overrides.
+value: one `section.field` key per scalar field of the section's config
+dataclass, cast by its annotation, plus `world.start_x`, `_y`, `_theta`.
+Unknown keys are errors, not warnings, so typos cannot silently fall back
+to defaults.  The same key syntax drives batch sweep overrides.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .clusterfilter import FilterConfig
 from .geometry import CameraModel, GroundPoint, Pose2D
@@ -79,31 +81,20 @@ class MissionConfig:
             raise ConfigError(
                 f"mission.scenario: {self.scenario!r} is not one of {SCENARIOS}"
             )
-        positive = {
-            "trial_distance": self.trial_distance,
-            "standoff": self.standoff,
-            "map_resolution": self.map_resolution,
-            "survey_lane_spacing": self.survey_lane_spacing,
-            "mapping_lane_spacing": self.mapping_lane_spacing,
-            "scan_max_range": self.scan_max_range,
-            "detect_max_range": self.detect_max_range,
-            "scan_interval": self.scan_interval,
-            "frame_interval": self.frame_interval,
-            "mapping_speed": self.mapping_speed,
-            "nav_speed": self.nav_speed,
-            "turn_rate": self.turn_rate,
-            "confirm_radius": self.confirm_radius,
-            "max_time": self.max_time,
-        }
-        for name, value in positive.items():
-            if not value > 0.0 or not math.isfinite(value):
-                raise ConfigError(f"mission.{name}: must be positive, got {value!r}")
+        # every float knob but inflate_radius must be positive and finite
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and f.name != "inflate_radius" and not 0.0 < value < math.inf:
+                raise ConfigError(f"mission.{f.name}: must be positive, got {value!r}")
         if self.scenario == "full":
-            # a full mission must be able to finish one lane-end spin and
-            # one jog's reverse within its time budget
+            # a full mission must be able to finish one lane-end spin, one
+            # jog's reverse and one drive across the arena within its time
+            # budget
+            diagonal = math.hypot(self.world.arena_w, self.world.arena_h)
             for name, motion, need in (
                 ("turn_rate", "a lane-end spin", 2.0 * math.pi / self.turn_rate),
                 ("mapping_speed", "a jog's reverse", JOG_REVERSE / self.mapping_speed),
+                ("nav_speed", "a drive along the arena diagonal", diagonal / self.nav_speed),
             ):
                 if need > self.max_time:
                     raise ConfigError(
@@ -176,72 +167,41 @@ def _cast_bool(text: str) -> bool:
     raise ConfigError(f"expected true or false, got {text!r}")
 
 
-def _cast_str(text: str) -> str:
-    return text
+_CASTERS = {"float": _cast_float, "int": _cast_int, "bool": _cast_bool, "str": str}
 
-
-# dotted key -> caster for every single-valued key
-_SCHEMA = {
-    "world.arena_w": _cast_float,
-    "world.arena_h": _cast_float,
-    "world.dt": _cast_float,
-    "world.seed": _cast_int,
-    "world.start_x": _cast_float,
-    "world.start_y": _cast_float,
-    "world.start_theta": _cast_float,
-    "world.obstacle_count": _cast_int,
-    "world.trash_count": _cast_int,
-    "world.trash_mass": _cast_float,
-    "noise.odom_heading_bias": _cast_float,
-    "noise.odom_noise_sigma": _cast_float,
-    "noise.detect_pos_sigma": _cast_float,
-    "noise.p_detect_intercept": _cast_float,
-    "noise.p_detect_slope": _cast_float,
-    "noise.p_detect_min": _cast_float,
-    "noise.p_detect_max": _cast_float,
-    "noise.pixel_sigma": _cast_float,
-    "noise.depth_sigma_per_meter": _cast_float,
-    "noise.conf_mu_intercept": _cast_float,
-    "noise.conf_mu_slope": _cast_float,
-    "noise.conf_sigma": _cast_float,
-    "noise.false_positive_rate": _cast_float,
-    "noise.detector_latency": _cast_float,
-    "noise.comm_latency": _cast_float,
-    "noise.comm_drop": _cast_float,
-    "camera.image_width": _cast_int,
-    "camera.image_height": _cast_int,
-    "camera.hfov": _cast_float,
-    "camera.vfov": _cast_float,
-    "camera.mount_height": _cast_float,
-    "camera.forward_offset": _cast_float,
-    "filter.cluster_radius": _cast_float,
-    "filter.accept_threshold": _cast_int,
-    "pickup.timeout": _cast_float,
-    "pickup.confidence_threshold": _cast_float,
-    "pickup.overshoot": _cast_float,
-    "pickup.spin_rate": _cast_float,
-    "pickup.drive_speed": _cast_float,
-    "pickup.brush_halfwidth": _cast_float,
-    "pickup.align_tolerance": _cast_float,
-    "pickup.reidentify": _cast_bool,
-    "mission.scenario": _cast_str,
-    "mission.trial_distance": _cast_float,
-    "mission.standoff": _cast_float,
-    "mission.map_resolution": _cast_float,
-    "mission.inflate_radius": _cast_float,
-    "mission.survey_lane_spacing": _cast_float,
-    "mission.mapping_lane_spacing": _cast_float,
-    "mission.scan_max_range": _cast_float,
-    "mission.detect_max_range": _cast_float,
-    "mission.n_beams": _cast_int,
-    "mission.scan_interval": _cast_float,
-    "mission.frame_interval": _cast_float,
-    "mission.mapping_speed": _cast_float,
-    "mission.nav_speed": _cast_float,
-    "mission.turn_rate": _cast_float,
-    "mission.confirm_radius": _cast_float,
-    "mission.max_time": _cast_float,
+# config section -> the dataclass whose fields its keys name
+_SECTIONS = {
+    "world": WorldConfig,
+    "noise": NoiseModel,
+    "camera": CameraModel,
+    "filter": FilterConfig,
+    "pickup": PickupConfig,
+    "mission": MissionConfig,
 }
+# fields that are not single-valued keys: the start pose (set through
+# world.start_*), the repeatable layout lists, the component configs and
+# the output directory (a run option)
+_NOT_KEYS = {"world.start", "world.obstacles", "world.trash", "mission.output_dir"} | {
+    f"mission.{section}" for section in _SECTIONS if section != "mission"
+}
+
+
+def _build_schema() -> dict:
+    """Dotted key -> caster for every single-valued key, one per scalar
+    field of the section dataclasses, cast by its annotation."""
+    schema = {f"world.start_{name}": _cast_float for name in ("x", "y", "theta")}
+    for section, cls in _SECTIONS.items():
+        for f in fields(cls):
+            key = f"{section}.{f.name}"
+            if key in _NOT_KEYS:
+                continue
+            if f.type not in _CASTERS:
+                raise TypeError(f"{key}: no config caster for field type {f.type!r}")
+            schema[key] = _CASTERS[f.type]
+    return schema
+
+
+_SCHEMA = _build_schema()
 
 # repeatable keys accumulate raw value strings
 _MULTI = ("world.obstacle", "world.trash")
@@ -306,28 +266,25 @@ def _parse_trash(text: str) -> tuple[float, float, float | None]:
 def build_config(
     raw: dict[str, list[str]], output_dir: str | None = None
 ) -> MissionConfig:
-    """Turn a raw key dict into a validated MissionConfig."""
+    """Turn a raw key dict into a validated MissionConfig.
 
-    def get(key: str):
-        values = raw.get(key)
-        if values is None:
-            return None
+    Raises ConfigError for a key that is not a config key, a value that
+    does not cast, and a config that fails validation.
+    """
+    kw: dict[str, dict] = {section: {} for section in _SECTIONS}
+    for key, values in raw.items():
+        if key in _MULTI:
+            continue
+        cast = _SCHEMA.get(key)
+        if cast is None:
+            raise ConfigError(f"unknown key {key!r}")
         try:
-            return _SCHEMA[key](values[-1])
+            value = cast(values[-1])
         except ConfigError as exc:
             raise ConfigError(f"{key}: {exc}") from None
-
-    def section(prefix: str) -> dict:
-        out = {}
-        for key in _SCHEMA:
-            sec, _, name = key.partition(".")
-            if sec == prefix:
-                value = get(key)
-                if value is not None:
-                    out[name] = value
-        return out
-
-    world_kw = section("world")
+        section, _, name = key.partition(".")
+        kw[section][name] = value
+    world_kw = kw["world"]
     start = Pose2D(
         world_kw.pop("start_x", 0.6),
         world_kw.pop("start_y", 0.6),
@@ -343,16 +300,15 @@ def build_config(
             (GroundPoint(x, y), mass if mass is not None else trash_mass)
             for x, y, mass in (_parse_trash(v) for v in raw["world.trash"])
         )
-    mission_kw = section("mission")
     try:
         return MissionConfig(
             world=WorldConfig(start=start, obstacles=obstacles, trash=trash, **world_kw),
-            noise=NoiseModel(**section("noise")),
-            camera=CameraModel(**section("camera")),
-            filter=FilterConfig(**section("filter")),
-            pickup=PickupConfig(**section("pickup")),
+            noise=NoiseModel(**kw["noise"]),
+            camera=CameraModel(**kw["camera"]),
+            filter=FilterConfig(**kw["filter"]),
+            pickup=PickupConfig(**kw["pickup"]),
             output_dir=output_dir,
-            **mission_kw,
+            **kw["mission"],
         )
     except ConfigError:
         raise

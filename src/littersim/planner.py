@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -233,17 +234,8 @@ def order_waypoints(
     8-connected component (`CostField.reachable`), and every stop stays in
     that component.  Points off the grid, on non-Free cells or in another
     component are never chosen.  While two or more reachable points
-    remain, each stop's path costs are first searched only to the octile
-    distance of the nearest one, which no path beats, plus a few cells.
-    Costs within that limit are bit for bit the unbounded ones, and
-    costlier points read inf.
-    Distinct 8-connected path costs lie far more than 2 * COST_TIE apart,
-    while equal ones differ only in rounding, far below COST_TIE; so the
-    scan picks the input-order first point of the cheapest cost group.
-    When the chosen cost c* has c* + COST_TIE within the limit, that whole
-    group lies within it too, and the pick equals the unbounded one;
-    otherwise the search is repeated without a limit.  The last reachable
-    point is chosen without a search: its cost is finite.
+    remain, each stop is picked by `_cheapest`; the last one is chosen
+    without a search: its cost is finite.
 
     Raises:
         StartOccupied: when the start cell is off-grid or not Free (and
@@ -252,7 +244,6 @@ def order_waypoints(
     if not trash:
         return []
     cf = cost_field if cost_field is not None else CostField(grid)
-    cell = _start_cell(grid, start)
     reach = cf.reachable(start)
     reachable: list[tuple[tuple[int, int], GroundPoint]] = []
     unreachable: list[GroundPoint] = []
@@ -267,18 +258,7 @@ def order_waypoints(
     while len(reachable) > 1:
         cols = np.array([c[0] for c, _ in reachable])
         rows = np.array([c[1] for c, _ in reachable])
-        for limit in (_first_cost_limit(grid.resolution, cell, rows, cols), math.inf):
-            costs = cf.field(current, limit)
-            best_j = -1
-            best_cost = math.inf
-            for j, (c, _) in enumerate(reachable):
-                cost = float(costs[c[1], c[0]])
-                if cost < best_cost - COST_TIE:
-                    best_cost = cost
-                    best_j = j
-            if best_cost + COST_TIE <= limit:
-                break
-        cell, current = reachable.pop(best_j)
+        _, current = reachable.pop(_cheapest(cf, current, rows, cols))
         ordered.append((current, True))
     ordered.extend((p, True) for _, p in reachable)
     ordered.extend((p, False) for p in unreachable)
@@ -304,17 +284,9 @@ def approach_goal(
     min_dist keeps the goal out of the camera's near-clip zone; callers
     that only need line of sight can leave it at zero.
 
-    The search is cost-ordered: reachable candidates are visited in
-    increasing path cost (a stable sort, so equal costs keep row-major
-    order) and the line of sight is traced only until the first candidate
-    passes.  Its cost is c*; the goal is then the lowest (row, col) among
-    passing candidates with cost below c* + COST_TIE.  Distinct
-    8-connected path costs lie far more than 2 * COST_TIE apart, so this
-    is exactly the row-major scan that keeps a candidate only when it
-    undercuts the best so far by COST_TIE.  Path costs are first searched
-    only a few cells past the nearest candidate's octile distance; when no
-    candidate within that limit passes, or c* + COST_TIE exceeds it, the
-    search is repeated without a limit.
+    The pick is `_cheapest` over the candidates in row-major order with
+    the line of sight as its pass test, so sight lines are traced cheapest
+    candidate first, and only until the pick is settled.
 
     Raises:
         StartOccupied: when the robot cell is off-grid or not Free.
@@ -350,8 +322,7 @@ def approach_goal(
         di = math.hypot(float(dx[i]), float(dy[i]))
         inside[i] = min_dist <= di <= standoff
     rows, cols = rows[inside], cols[inside]
-    start = grid.world_to_cell(robot.x, robot.y)
-    if start is None or len(rows) == 0:
+    if len(rows) == 0 or grid.world_to_cell(robot.x, robot.y) is None:
         cf.field(robot, limit=0.0)  # raises StartOccupied for a bad start
         return None
     seen: dict[int, bool] = {}
@@ -362,27 +333,53 @@ def approach_goal(
             seen[i] = _line_of_sight(grid, cx, cy, trash, tcell)
         return seen[i]
 
-    for limit in (_first_cost_limit(res, start, rows, cols), math.inf):
-        cand_costs = cf.field(robot, limit)[rows, cols]
-        reachable = np.flatnonzero(np.isfinite(cand_costs))
-        order = reachable[np.argsort(cand_costs[reachable], kind="stable")]
-        sorted_costs = cand_costs[order]
-        k = next((k for k, i in enumerate(order.tolist()) if sees(i)), None)
-        # settled once the whole tie group of the first passing candidate
-        # lies within the limit
+    best = _cheapest(cf, robot, rows, cols, sees)
+    if best is None:
+        return None
+    bx, by = grid.cell_center(int(cols[best]), int(rows[best]))
+    heading = math.atan2(trash.y - by, trash.x - bx)
+    return NavGoal(Pose2D(bx, by, heading), trash)
+
+
+def _cheapest(
+    cf: CostField,
+    start: GroundPoint,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    passes: Callable[[int], bool] = lambda i: True,
+) -> int | None:
+    """Index i of the cheapest target cell (cols[i], rows[i]) from start
+    that passes `passes`, ties toward the lower index; None when no
+    reachable target passes.
+
+    Distinct 8-connected path costs lie far more than 2 * COST_TIE apart,
+    while equal ones differ only in rounding, far below COST_TIE; so this
+    equals the scan in index order that keeps a passing target only when
+    it undercuts the best so far by COST_TIE.  Targets are tested in
+    increasing cost (a stable sort) until one passes, at cost c*; the pick
+    is the lowest passing index costing below c* + COST_TIE.  Costs are
+    first searched only to `_first_cost_limit`: within it they are bit for
+    bit the unbounded ones, and costlier targets read inf.  When
+    c* + COST_TIE lies within the limit, so does c*'s whole tie group and
+    the pick is final; otherwise the search is repeated without a limit.
+    """
+    cell = cf.grid.world_to_cell(start.x, start.y)
+    for limit in (_first_cost_limit(cf.grid.resolution, cell, rows, cols), math.inf):
+        costs = cf.field(start, limit)[rows, cols]
+        finite = np.flatnonzero(np.isfinite(costs))
+        order = finite[np.argsort(costs[finite], kind="stable")]
+        sorted_costs = costs[order]
+        k = next((k for k, i in enumerate(order.tolist()) if passes(i)), None)
         if k is not None and sorted_costs[k] + COST_TIE <= limit:
             break
     else:
         return None
     i = int(order[k])
-    # every candidate sorted before i failed; of those tied with i, try the
-    # ones earlier in row-major order, lowest first
+    # every target sorted before i failed; of those tied with i, try the
+    # ones of lower index, lowest first
     end = int(np.searchsorted(sorted_costs, sorted_costs[k] + COST_TIE))
     ties = sorted(j for j in order[k + 1 : end].tolist() if j < i)
-    best = next((j for j in ties if sees(j)), i)
-    bx, by = grid.cell_center(int(cols[best]), int(rows[best]))
-    heading = math.atan2(trash.y - by, trash.x - bx)
-    return NavGoal(Pose2D(bx, by, heading), trash)
+    return next((j for j in ties if passes(j)), i)
 
 
 def _first_cost_limit(

@@ -344,11 +344,10 @@ class World:
 
         True pose: exact unicycle integration, stopped at obstacle contact
         by bisecting the tick down to the contact fraction.  The bisection
-        probes compute x and y with `_advance`'s expressions, in the same
-        order, on plain floats, so they land on the same bits without a
-        Pose2D per probe.  Believed pose:
-        same integrator over the noisy, biased command, scaled by the same
-        contact fraction (stalled wheels do not advance odometry).  With
+        probes step with `_unicycle` on plain floats, as `_advance` does,
+        so they land on the same bits without a Pose2D per probe.  Believed
+        pose: same integrator over the noisy, biased command, scaled by the
+        same contact fraction (stalled wheels do not advance odometry).  With
         the mechanism on, any uncollected trash within brush_halfwidth of
         the segment the base swept this tick is collected.
         """
@@ -362,22 +361,11 @@ class World:
         if self._collides(nxt.x, nxt.y):
             self.last_contact = True
             ox, oy, th = old.x, old.y, old.theta
-            sin_th, cos_th = math.sin(th), math.cos(th)
-            straight = abs(omega) < 1e-9
-            if not straight:
-                r = v / omega
             collides = self._collides
             lo, hi = 0.0, 1.0
             for _ in range(40):
                 mid = 0.5 * (lo + hi)
-                h = mid * dt
-                if straight:
-                    px = ox + v * h * cos_th
-                    py = oy + v * h * sin_th
-                else:
-                    th1 = th + omega * h
-                    px = ox + r * (math.sin(th1) - sin_th)
-                    py = oy - r * (math.cos(th1) - cos_th)
+                px, py, _ = _unicycle(ox, oy, th, v, omega, mid * dt)
                 if collides(px, py):
                     hi = mid
                 else:
@@ -540,24 +528,25 @@ class World:
         return min(max(mu, 0.0), 1.0)
 
 
-def _advance(pose: Pose2D, v: float, omega: float, dt: float) -> Pose2D:
+def _unicycle(
+    x: float, y: float, theta: float, v: float, omega: float, dt: float
+) -> tuple[float, float, float]:
     """Exact unicycle step: straight line for omega ~ 0, circle arc else.
-
-    `World.step_world`'s contact bisection repeats these x and y
-    expressions inline; a change here must be made there too."""
+    Returns the new (x, y, theta), theta not wrapped."""
     if abs(omega) < 1e-9:
-        return Pose2D(
-            pose.x + v * dt * math.cos(pose.theta),
-            pose.y + v * dt * math.sin(pose.theta),
-            pose.theta + omega * dt,
-        )
-    th1 = pose.theta + omega * dt
+        return x + v * dt * math.cos(theta), y + v * dt * math.sin(theta), theta + omega * dt
+    th1 = theta + omega * dt
     r = v / omega
-    return Pose2D(
-        pose.x + r * (math.sin(th1) - math.sin(pose.theta)),
-        pose.y - r * (math.cos(th1) - math.cos(pose.theta)),
+    return (
+        x + r * (math.sin(th1) - math.sin(theta)),
+        y - r * (math.cos(th1) - math.cos(theta)),
         th1,
     )
+
+
+def _advance(pose: Pose2D, v: float, omega: float, dt: float) -> Pose2D:
+    """`_unicycle` from a pose to a pose."""
+    return Pose2D(*_unicycle(pose.x, pose.y, pose.theta, v, omega, dt))
 
 
 def _seg_dist(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> float:

@@ -183,6 +183,15 @@ def test_unknown_override_key_exits_1(tmp_path, capsys):
             "mission.mapping_speed = 0.0001\n",
             "mission.mapping_speed: a jog's reverse takes 4000 s",
         ),
+        (
+            "mission.nav_speed = 1e-309\n",
+            "mission.nav_speed: a drive along the arena diagonal takes inf s",
+        ),
+        (
+            "mission.nav_speed = 0.01\nmission.max_time = 600\n",
+            "mission.nav_speed: a drive along the arena diagonal takes 1000 s, longer than "
+            "mission.max_time 600.0",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["run", "map", "batch"])

@@ -1,8 +1,15 @@
 import math
+import re
+from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 import pytest
 
+from littersim import config
+from littersim.clusterfilter import FilterConfig
 from littersim.config import (
+    _MULTI,
+    _SCHEMA,
     ConfigError,
     MissionConfig,
     apply_override,
@@ -10,8 +17,19 @@ from littersim.config import (
     load_config,
     parse_config,
 )
-from littersim.geometry import GroundPoint
-from littersim.simworld import Rect
+from littersim.geometry import CameraModel, GroundPoint
+from littersim.pickup import PickupConfig
+from littersim.simworld import NoiseModel, Rect, WorldConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+SECTIONS = {
+    "world": WorldConfig,
+    "noise": NoiseModel,
+    "camera": CameraModel,
+    "filter": FilterConfig,
+    "pickup": PickupConfig,
+    "mission": MissionConfig,
+}
 
 
 def test_parse_basic_lines_comments_and_blanks():
@@ -235,3 +253,99 @@ def test_pickup_align_tolerance_must_be_positive(value):
     with pytest.raises(ConfigError, match=r"^align_tolerance must be positive, got "):
         build_config({"pickup.align_tolerance": [value]})
     assert build_config({"pickup.align_tolerance": ["1e-6"]}).pickup.align_tolerance == 1e-6
+
+
+def _dataclass_default(key: str):
+    """The default of the field that `section.name` names: a field of the
+    section's dataclass, or of WorldConfig's start pose for world.start_*."""
+    section, name = key.split(".")
+    if name.startswith("start_"):
+        return getattr(WorldConfig().start, name[len("start_") :])
+    return next(f.default for f in fields(SECTIONS[section]) if f.name == name)
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
+
+
+def _other_value(value):
+    """A valid value of the same type that differs from `value`."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value + 0.01 if value < 1.0 else value * 0.9
+    return "pickup_trial" if value == "full" else "full"
+
+
+def _with_field(cfg: MissionConfig, key: str, value) -> MissionConfig:
+    """`cfg` with only the field that `key` names set to `value`."""
+    section, name = key.split(".")
+    if section == "mission":
+        return replace(cfg, **{name: value})
+    if name.startswith("start_"):
+        start = replace(cfg.world.start, **{name[len("start_") :]: value})
+        return replace(cfg, world=replace(cfg.world, start=start))
+    return replace(cfg, **{section: replace(getattr(cfg, section), **{name: value})})
+
+
+def test_every_key_set_to_its_default_builds_the_defaults():
+    raw = {key: [_text(_dataclass_default(key))] for key in _SCHEMA}
+    # repr also tells an int field from a float one of the same value
+    assert repr(build_config(raw)) == repr(build_config({}))
+
+
+@pytest.mark.parametrize("key", sorted(_SCHEMA))
+def test_every_key_sets_exactly_its_own_field(key):
+    value = _other_value(_dataclass_default(key))
+    cfg = build_config({key: [_text(value)]})
+    assert repr(cfg) == repr(_with_field(build_config({}), key, value))
+    assert cfg != build_config({})
+
+
+@pytest.mark.parametrize(
+    "key", ["mission.output_dir", "world.sede", "world.start", "mission.world", "world.trash_"]
+)
+def test_build_config_rejects_keys_outside_the_schema(key):
+    with pytest.raises(ConfigError, match=rf"^unknown key '{re.escape(key)}'$"):
+        build_config({key: ["/x"]})
+
+
+def test_a_field_type_without_a_caster_fails_the_schema(monkeypatch):
+    @dataclass(frozen=True)
+    class Extra:
+        weights: list[float] = None
+
+    monkeypatch.setitem(config._SECTIONS, "extra", Extra)
+    with pytest.raises(TypeError, match=r"^extra.weights: no config caster"):
+        config._build_schema()
+
+
+def _readme_key_rows() -> list[tuple[list[str], list[str]]]:
+    """(keys, defaults) of every row of README's config key tables."""
+    text = README.read_text(encoding="utf-8")
+    tables = text[text.index("### world") : text.index("## Output files")]
+    rows = []
+    for line in tables.splitlines():
+        if line.startswith("| `"):
+            key_col, default_col = line.split("|")[1:3]
+            rows.append((re.findall(r"`([a-z_]+\.[a-z_]+)`", key_col), default_col.strip().split(", ")))
+    return rows
+
+
+def test_readme_lists_exactly_the_config_keys():
+    listed = [key for keys, _ in _readme_key_rows() for key in keys]
+    assert sorted(listed) == sorted([*_SCHEMA, *_MULTI])
+
+
+def test_readme_defaults_are_the_dataclass_defaults():
+    for keys, defaults in _readme_key_rows():
+        if defaults == ["repeatable"]:
+            assert all(key in _MULTI for key in keys)
+            continue
+        assert len(defaults) == len(keys), keys
+        for key, text in zip(keys, defaults):
+            assert _SCHEMA[key](text) == _dataclass_default(key), key
