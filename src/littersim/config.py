@@ -285,10 +285,11 @@ def build_config(
         section, _, name = key.partition(".")
         kw[section][name] = value
     world_kw = kw["world"]
+    default = WorldConfig().start
     start = Pose2D(
-        world_kw.pop("start_x", 0.6),
-        world_kw.pop("start_y", 0.6),
-        world_kw.pop("start_theta", 0.0),
+        world_kw.pop("start_x", default.x),
+        world_kw.pop("start_y", default.y),
+        world_kw.pop("start_theta", default.theta),
     )
     trash_mass = world_kw.get("trash_mass", WorldConfig.trash_mass)
     obstacles = None

@@ -15,14 +15,19 @@ it stops once `max_time` has passed, senses, lets the motion choose a
 command (or end), steps the world, and asks the motion whether to stop.
 The motions differ only in that choice and in what they sense:
 
-- mapping motions (lane drives, sidestep jogs, lane-end spins) take a
-  range scan into the grid when one is due, capture camera frames, ingest
-  the frames whose detector latency has passed into the filter, and pin
-  the believed pose to ground truth after the step;
+- mapping motions (lane drives, sidestep jogs, lane-end spins) queue a
+  range scan with the pose it was taken from when one is due, capture
+  camera frames, ingest the frames whose detector latency has passed into
+  the filter, and pin the believed pose to ground truth after the step;
 - navigation, collection-phase reversing and turning to face a spot
   sense nothing;
 - pickup episodes and the look-back after one capture frames and drain
   the ready ones through a filter on the expected item position.
+
+Nothing reads the grid before the sweep ends, and folding scans into it
+is a join that does not depend on their order, so the queued scans are
+folded in one `integrate_scan` call when the sweep ends, also when
+`max_time` cuts it short, just before the morphological cleanup.
 
 Localization is assumed good while mapping, then dead-reckons with drift
 for the whole collection phase.  That split is what makes late-tour
@@ -58,7 +63,7 @@ from .geometry import (
     distance,
     project_detection,
 )
-from .gridmap import FREE, OccupancyGrid, inflate, integrate_scan, morph_close_open, save_map
+from .gridmap import FREE, OccupancyGrid, Scan, inflate, integrate_scan, morph_close_open, save_map
 from .pickup import STOP, MotionCommand, PickupPhase, TooFar, start_pickup, turn_toward
 from .pickup import step as pickup_step
 from .planner import CostField, StartOccupied, approach_goal, astar, order_waypoints
@@ -238,6 +243,9 @@ class _Runner:
         # one raw (t, phase, v, omega, mechanism_on, x, y, theta) row per
         # pickup tick; formatted only when dumped
         self.episode_logs: list[list[tuple]] = []
+        # (pose, scan) pairs of the mapping sweep, folded into the grid
+        # when the sweep ends
+        self.pending_scans: list[tuple[Pose2D, Scan]] = []
         self._next_scan = 0.0
         self._next_frame = 0.0
 
@@ -345,11 +353,11 @@ class _Runner:
             self._next_frame = t + self.cfg.frame_interval
 
     def _sense_map(self) -> None:
-        """Mapping-phase sensing: grid scans plus filter detections."""
+        """Mapping-phase sensing: queued grid scans plus filter detections."""
         t = self.world.t
         if t >= self._next_scan:
             scan = self.world.scan(self.cfg.camera, self.cfg.n_beams, self.cfg.scan_max_range)
-            integrate_scan(self.grid, self.pose, scan)
+            self.pending_scans.append((self.pose, scan))
             self._next_scan = t + self.cfg.scan_interval
         self._capture_frame()
         self._ingest_frames(t)
@@ -420,7 +428,8 @@ class _Runner:
 
     def mapping_sweep(self) -> None:
         """Lawnmower coverage with a full look-around at each lane end,
-        then morphological cleanup of the finished grid."""
+        then the queued scans folded into the grid and morphological
+        cleanup of the finished grid."""
         cfg = self.cfg
         margin = 0.5
         arena_w, arena_h = cfg.world.arena_w, cfg.world.arena_h
@@ -442,6 +451,8 @@ class _Runner:
                 self._move(spin, 2.0 * math.pi, cfg.turn_rate, mapping=True)
         # frames still in the detector pipeline at phase end
         self._ingest_frames(self.world.t + cfg.noise.detector_latency + 1.0)
+        integrate_scan(self.grid, self.pending_scans)
+        self.pending_scans = []
         self.grid = morph_close_open(self.grid)
 
     # ------------------------------------------------------------------ #

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from littersim import gridmap
 from littersim.geometry import Pose2D
 from littersim.gridmap import (
     FREE,
@@ -198,7 +199,7 @@ def test_integrate_scan_worked_example():
     # range 1.0 at resolution 0.05: 19 Free cells then 1 Occupied
     g = OccupancyGrid(40, 40, 0.05, Pose2D(0.0, 0.0, 0.0))
     robot = Pose2D(0.025, 0.025, 0.0)
-    integrate_scan(g, robot, [(0.0, 1.0, 3.5)])
+    integrate_scan(g, [(robot, [(0.0, 1.0, 3.5)])])
     row = g.cells[0]
     assert (row[1:20] == FREE).all()
     assert row[20] == OCCUPIED
@@ -209,7 +210,7 @@ def test_integrate_scan_worked_example():
 def test_integrate_scan_max_range_marks_free_only():
     g = OccupancyGrid(40, 40, 0.05, Pose2D(0.0, 0.0, 0.0))
     robot = Pose2D(0.025, 0.025, 0.0)
-    integrate_scan(g, robot, [(0.0, 1.0, 1.0)])
+    integrate_scan(g, [(robot, [(0.0, 1.0, 1.0)])])
     row = g.cells[0]
     assert (row[1:21] == FREE).all()
     assert not (row == OCCUPIED).any()
@@ -218,11 +219,11 @@ def test_integrate_scan_max_range_marks_free_only():
 def test_integrate_scan_never_demotes_occupied():
     g = OccupancyGrid(40, 40, 0.05, Pose2D(0.0, 0.0, 0.0))
     robot = Pose2D(0.025, 0.025, 0.0)
-    integrate_scan(g, robot, [(0.0, 0.5, 3.5)])
+    integrate_scan(g, [(robot, [(0.0, 0.5, 3.5)])])
     hit = g.cells[0, 10]
     assert hit == OCCUPIED
     # a longer ray through the same cell leaves the hit in place
-    integrate_scan(g, robot, [(0.0, 1.5, 3.5)])
+    integrate_scan(g, [(robot, [(0.0, 1.5, 3.5)])])
     assert g.cells[0, 10] == OCCUPIED
 
 
@@ -259,8 +260,7 @@ _ANGLES = st.one_of(
 )
 
 
-@st.composite
-def _scan_case(draw):
+def _draw_grid(draw):
     res = draw(st.sampled_from([0.05, 0.1, 0.25, 1.0]))
     width = draw(st.integers(1, 30))
     height = draw(st.integers(1, 30))
@@ -278,6 +278,13 @@ def _scan_case(draw):
         )
     elif fill != "unknown":
         grid.cells[:] = OCCUPIED if fill == "occupied" else FREE
+    return grid
+
+
+def _draw_pose(draw, grid):
+    """A robot pose on a gridline or corner, near one, at a cell center,
+    or anywhere in and around the grid."""
+    res, origin = grid.resolution, grid.origin
 
     def grid_coord(n):
         # on a gridline or corner, a hair off one, a cell center, or
@@ -289,11 +296,13 @@ def _scan_case(draw):
             st.floats(-0.5 * n, 1.5 * n),
         )) * res
 
-    gx, gy = grid_coord(width), grid_coord(height)
+    gx, gy = grid_coord(grid.width), grid_coord(grid.height)
     c, s = math.cos(origin.theta), math.sin(origin.theta)
-    robot = Pose2D(origin.x + c * gx - s * gy, origin.y + s * gx + c * gy, draw(_ANGLES))
-    max_range = draw(st.sampled_from([1.0, 3.5, 3.0 * res]))
-    beam = st.tuples(
+    return Pose2D(origin.x + c * gx - s * gy, origin.y + s * gx + c * gy, draw(_ANGLES))
+
+
+def _beams(max_range, res):
+    return st.tuples(
         _ANGLES,
         st.one_of(
             st.just(0.0),
@@ -303,7 +312,14 @@ def _scan_case(draw):
         ),
         st.just(max_range),
     )
-    return grid, robot, draw(st.lists(beam, max_size=40))
+
+
+@st.composite
+def _scan_case(draw):
+    grid = _draw_grid(draw)
+    robot = _draw_pose(draw, grid)
+    max_range = draw(st.sampled_from([1.0, 3.5, 3.0 * grid.resolution]))
+    return grid, robot, draw(st.lists(_beams(max_range, grid.resolution), max_size=40))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -321,8 +337,66 @@ def test_integrate_scan_equals_per_beam_reference(case):
     grid = grid.copy()
     expected = grid.copy()
     integrate_scan_per_beam(expected, robot, scan)
-    integrate_scan(grid, robot, scan)
+    integrate_scan(grid, [(robot, scan)])
     assert np.array_equal(grid.cells, expected.cells)
+
+
+_PASS = gridmap.PASS_BEAMS
+
+
+@st.composite
+def _fold_case(draw, total):
+    """A grid and a list of (pose, scan) pairs holding `total` beams in
+    all (a small drawn total when None), cut into scans at drawn points, so
+    empty scans occur; every scan has its own drawn pose."""
+    grid = _draw_grid(draw)
+    max_range = draw(st.sampled_from([1.0, 3.5, 3.0 * grid.resolution]))
+    if total is None:
+        total = draw(st.integers(0, 40))
+    n_scans = draw(st.integers(1 if total else 0, 8))
+    cuts = sorted(draw(st.lists(
+        st.integers(0, total), min_size=max(n_scans - 1, 0), max_size=max(n_scans - 1, 0)
+    )))
+    sizes = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, total])][:n_scans]
+    # drawn edge-case beams mixed with seeded random ones, so long lists
+    # stay cheap to draw
+    pool = draw(st.lists(_beams(max_range, grid.resolution), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scans = []
+    for size in sizes:
+        robot = _draw_pose(draw, grid)
+        scan = [
+            pool[rng.integers(len(pool))] if rng.random() < 0.5 else (
+                float(rng.uniform(-math.pi, math.pi)),
+                float(rng.uniform(0.0, 2.0 * max_range)),
+                max_range,
+            )
+            for _ in range(size)
+        ]
+        scans.append((robot, scan))
+    return grid, scans
+
+
+@pytest.mark.parametrize(
+    "total",
+    [None, 0, _PASS - 1, _PASS, _PASS + 1, 3 * _PASS],
+    ids=["small", "zero", "pass-1", "pass", "pass+1", "3pass"],
+)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_integrate_scan_folds_a_sequence_like_one_scan_at_a_time(total, data):
+    grid, scans = data.draw(_fold_case(total))
+    folded = grid.copy()
+    integrate_scan(folded, scans)
+    for order in (scans, scans[::-1]):
+        one_at_a_time = grid.copy()
+        for pair in order:
+            integrate_scan(one_at_a_time, [pair])
+        assert np.array_equal(folded.cells, one_at_a_time.cells)
+    expected = grid.copy()
+    for robot, scan in scans:
+        integrate_scan_per_beam(expected, robot, scan)
+    assert np.array_equal(folded.cells, expected.cells)
 
 
 def test_morphology_stages_match_brute_force():

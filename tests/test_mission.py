@@ -401,6 +401,40 @@ def test_traced_layers_are_looked_up_on_the_mission_module(tmp_path, monkeypatch
     assert [name for name, n in calls.items() if n == 0] == []
 
 
+@pytest.mark.parametrize("overrides", [{}, {"mission.max_time": ["60"]}], ids=["full", "max_time_60"])
+def test_mapping_sweep_folds_its_queued_scans_once(monkeypatch, overrides):
+    # the sweep queues every scan and folds them in one call, also when
+    # max_time cuts it short; the grid it hands to the cleanup is the one
+    # that folding the same scans one at a time gives
+    cfg = build_config({"world.seed": ["0"], **overrides})
+    folds = []
+    before_cleanup = []
+    integrate_scan, morph_close_open = mission.integrate_scan, mission.morph_close_open
+
+    def record_fold(grid, scans):
+        folds.append(list(scans))
+        integrate_scan(grid, scans)
+
+    def record_cleanup(grid):
+        before_cleanup.append(grid.copy())
+        return morph_close_open(grid)
+
+    monkeypatch.setattr(mission, "integrate_scan", record_fold)
+    monkeypatch.setattr(mission, "morph_close_open", record_cleanup)
+    runner = mission._mapped(cfg)
+    assert len(folds) == 1 and len(before_cleanup) == 1
+    assert runner.pending_scans == []
+    scans = folds[0]
+    assert len(scans) > 100
+    if overrides:
+        assert runner.world.t >= cfg.max_time
+    one_at_a_time = mission._Runner(cfg).grid
+    assert (one_at_a_time.cells == UNKNOWN).all()
+    for pair in scans:
+        integrate_scan(one_at_a_time, [pair])
+    assert one_at_a_time == before_cleanup[0]
+
+
 def ring_search_nearest_free(grid, x, y, max_radius=0.6):
     """The ring search `_nearest_free` replaced, kept as its reference:
     rings of growing Chebyshev radius around the cell under the clamped
