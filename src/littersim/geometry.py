@@ -1,4 +1,4 @@
-"""Planar geometry: poses, frame composition, and camera-to-ground projection.
+"""Planar geometry: poses, bearings, and camera-to-ground projection.
 
 Angle convention used across the whole package: counterclockwise positive,
 normalized to (-pi, pi].  All types here are immutable values and every
@@ -138,30 +138,10 @@ class Side(Enum):
     AHEAD = "ahead"
 
 
-def distance(a: GroundPoint, b: GroundPoint) -> float:
+def distance(a: GroundPoint | Pose2D, b: GroundPoint | Pose2D) -> float:
+    """Distance between two points; a pose stands for its position, read
+    in place, without building the GroundPoint `position` would."""
     return math.hypot(b.x - a.x, b.y - a.y)
-
-
-def compose(base: Pose2D, offset: Pose2D) -> Pose2D:
-    """Apply `offset` expressed in the frame of `base`.
-
-    Returns the pose of the offset frame in the map frame; the translation
-    of `offset` is rotated by base.theta, headings add (wrapped).
-    """
-    c = math.cos(base.theta)
-    s = math.sin(base.theta)
-    return Pose2D(
-        base.x + c * offset.x - s * offset.y,
-        base.y + s * offset.x + c * offset.y,
-        base.theta + offset.theta,
-    )
-
-
-def inverse(p: Pose2D) -> Pose2D:
-    """Inverse transform, so compose(p, inverse(p)) is the identity."""
-    c = math.cos(p.theta)
-    s = math.sin(p.theta)
-    return Pose2D(-(c * p.x + s * p.y), s * p.x - c * p.y, -p.theta)
 
 
 def bearing_from_pixel(box: BoundingBox, cam: CameraModel) -> float:

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -154,20 +152,25 @@ def trace_cells(
     return out
 
 
-Scan = list[tuple[float, float, float]]
-
 # beams traced together in one pass of `integrate_scan`.  Over 2284 scans
-# of 8 default missions, 128 and 256 beams a pass cost about 3.2 us a
-# beam, 512 and 1024 about 4 us: larger passes spread numpy's per-call
-# overhead further but their temporaries outgrow the cache.
+# of 8 default missions, 512 beams a pass took about 5% less time than
+# 256 (median of 12 alternated runs), but their temporaries raised peak
+# RSS over 32 default missions by about 0.3 MB.
 PASS_BEAMS = 256
 
 
-def integrate_scan(grid: OccupancyGrid, scans: Sequence[tuple[Pose2D, Scan]]) -> None:
-    """Fold a sequence of (robot pose, range scan) pairs into the grid.
+def integrate_scan(
+    grid: OccupancyGrid,
+    poses: np.ndarray,
+    bearings: np.ndarray,
+    ranges: np.ndarray,
+    max_range: float,
+) -> None:
+    """Fold range scans, one per robot pose, into the grid.
 
-    Each scan entry is (bearing, range, max_range), bearing relative to the
-    heading of its own scan's pose.  Every beam starts at its own scan's
+    `poses` holds N robot poses as (x, y, theta) rows, `bearings` the B
+    beam bearings relative to each pose's heading, and `ranges` the N x B
+    ranges, row i taken from pose i.  Every beam starts at its own scan's
     pose and covers the cells `trace_cells` reports from there to the beam
     end, less that scan's robot cell.  A hit beam (range < max_range)
     marks its last cell Occupied when the hit point itself lies in that
@@ -183,49 +186,29 @@ def integrate_scan(grid: OccupancyGrid, scans: Sequence[tuple[Pose2D, Scan]]) ->
     one masked write at the end.
 
     The beams of all scans are traced PASS_BEAMS at a time, sorted by
-    their number of gridline crossings so that a pass pads little.  Each
-    pass uses the same float operations, in the same order, as
-    `trace_cells`: each beam's x- and y-gridline crossing parameters
-    (Amanatides & Woo) fill one row, each axis padded to its own longest
-    run, the rows are sorted, and each interval longer than 1e-12 names
-    the cell under its midpoint.
+    their number of gridline crossings so that a pass pads little, each
+    pass with `_walk`.
     """
-    counts = [len(scan) for _, scan in scans]
-    if not sum(counts):
+    poses = np.asarray(poses, dtype=float).reshape(-1, 3)
+    bearings = np.asarray(bearings, dtype=float)
+    n_beams = len(bearings)
+    rng = np.asarray(ranges, dtype=float).reshape(len(poses) * n_beams)
+    if not len(rng):
         return
-    beams = np.fromiter(chain.from_iterable(chain.from_iterable(scan for _, scan in scans)), float)
-    bearing, rng, max_range = beams.reshape(-1, 3).T
-    px, py, ptheta = (
-        np.repeat(v, counts) for v in zip(*[(p.x, p.y, p.theta) for p, _ in scans])
-    )
+    px, py, ptheta = poses.T
+    px = np.repeat(px, n_beams)
+    py = np.repeat(py, n_beams)
     reach = np.minimum(rng, max_range)
-    ang = (ptheta + bearing).tolist()
+    ang = (ptheta[:, None] + bearings).ravel().tolist()
     ex = px + reach * np.fromiter(map(math.cos, ang), float, len(ang))
     ey = py + reach * np.fromiter(map(math.sin, ang), float, len(ang))
 
-    # grid-frame robot (a) and beam ends (b) of every beam, rows x and y,
-    # in cell units
-    c = math.cos(grid.origin.theta)
-    s = math.sin(grid.origin.theta)
-    res = grid.resolution
-    a = np.empty((2, len(ang)))
-    b = np.empty((2, len(ang)))
-    for out, x, y in ((a, px, py), (b, ex, ey)):
-        dx, dy = x - grid.origin.x, y - grid.origin.y
-        out[0] = (c * dx + s * dy) / res
-        out[1] = (-s * dx + c * dy) / res
-    d = b - a
-    # each beam's first x- and y-gridline and its count of crossings of them
-    k0 = np.ceil(np.minimum(a, b))
-    n = np.floor(np.maximum(a, b)) - k0 + 1.0
-    n[np.abs(d) <= 1e-15] = 0.0
-    # the robot's cell, the one `world_to_cell` names, as a flat index (-1
-    # off the grid, where no traced cell can equal it), and the end cell
-    start_col, start_row = np.floor(a)
-    on_grid = (0 <= start_col) & (start_col < grid.width)
-    on_grid &= (0 <= start_row) & (start_row < grid.height)
-    start = np.where(on_grid, start_row * grid.width + start_col, -1.0)
-    end = np.floor(b)
+    # grid-frame robot (a) and beam ends (b) of every beam, and the
+    # cell of each end
+    a = _to_grid(grid, px, py)
+    b = _to_grid(grid, ex, ey)
+    _, _, n = _crossings(a, b)
+    end = _flat_cell(grid, b)
     hit = rng < max_range
 
     # beams with like crossing counts share a pass; the union of every
@@ -235,68 +218,118 @@ def integrate_scan(grid: OccupancyGrid, scans: Sequence[tuple[Pose2D, Scan]]) ->
     hits = np.zeros(grid.cells.size, dtype=bool)
     for lo in range(0, len(order), PASS_BEAMS):
         part = order[lo : lo + PASS_BEAMS]
-        _fold_pass(
-            grid, free, hits, a[:, part], d[:, part], k0[:, part], n[:, part],
-            start[part], end[:, part], hit[part],
-        )
+        cell, kept = _walk(grid, a[:, part], b[:, part])
+        free[cell[kept].astype(np.int64)] = True
+        # a hit marks the last kept cell, and only when the hit point
+        # itself lies in it; a beam clipped at the grid edge ends in
+        # another cell
+        last = kept.shape[1] - 1 - np.argmax(kept[:, ::-1], axis=1)
+        beam = np.arange(len(part))
+        last_cell = cell[beam, last]
+        occupied = kept[beam, last] & hit[part] & (last_cell == end[part])
+        hits[last_cell[occupied].astype(np.int64)] = True
     cells = grid.cells
     cells[free.reshape(cells.shape) & (cells != OCCUPIED)] = FREE
     cells[hits.reshape(cells.shape)] = OCCUPIED
 
 
-def _fold_pass(
-    grid: OccupancyGrid, free: np.ndarray, hits: np.ndarray,
-    a: np.ndarray, d: np.ndarray, k0: np.ndarray, n: np.ndarray,
-    start: np.ndarray, end: np.ndarray, hit: np.ndarray,
-) -> None:
-    """Trace one pass of beams and mark their cells in the flat `free`
-    and `hits` masks of `grid`'s cells; the other arguments are
-    `integrate_scan`'s per-beam arrays for the pass."""
-    n_beams = a.shape[1]
+def trace_many(
+    grid: OccupancyGrid,
+    x0: np.ndarray,
+    y0: np.ndarray,
+    x1: np.ndarray,
+    y1: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`trace_cells` of many segments (x0[i], y0[i]) -> (x1[i], y1[i]) at
+    once, each less the cell it starts in.
+
+    Returns (cell, kept), two arrays with one row per segment: `cell`
+    holds flat cell indices row * width + col (as floats) in traversal
+    order, and the ones `kept` marks are the cells `trace_cells` reports,
+    before it collapses consecutive duplicates, other than the start
+    cell `world_to_cell` names.  The other entries are padding, off-grid
+    cells or the start cell.
+    """
+    a = _to_grid(grid, np.asarray(x0, dtype=float), np.asarray(y0, dtype=float))
+    b = _to_grid(grid, np.asarray(x1, dtype=float), np.asarray(y1, dtype=float))
+    return _walk(grid, a, b)
+
+
+def _to_grid(grid: OccupancyGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Map-frame points as grid-frame rows x and y, in cell units, with
+    `trace_cells`' float operations."""
+    c = math.cos(grid.origin.theta)
+    s = math.sin(grid.origin.theta)
+    dx, dy = x - grid.origin.x, y - grid.origin.y
+    return np.array([(c * dx + s * dy) / grid.resolution, (-s * dx + c * dy) / grid.resolution])
+
+
+def _crossings(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, k0, n) of the grid-frame segments a -> b, rows x and y: the
+    extent, each segment's first x- and y-gridline, and its count of
+    crossings of them, 0 along an axis the segment is parallel to."""
+    d = b - a
+    k0 = np.ceil(np.minimum(a, b))
+    n = np.floor(np.maximum(a, b)) - k0 + 1.0
+    n[np.abs(d) <= 1e-15] = 0.0
+    return d, k0, n
+
+
+def _flat_cell(grid: OccupancyGrid, p: np.ndarray) -> np.ndarray:
+    """Flat index of the cell under each grid-frame point, the cell
+    `world_to_cell` names, or -1 off the grid, which no traced cell
+    equals."""
+    col, row = np.floor(p)
+    on_grid = (0 <= col) & (col < grid.width) & (0 <= row) & (row < grid.height)
+    return np.where(on_grid, row * grid.width + col, -1.0)
+
+
+def _walk(grid: OccupancyGrid, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`trace_many` of the grid-frame segments a -> b, with the float
+    operations of `trace_cells` in the same order: each segment's x- and
+    y-gridline crossing parameters (Amanatides & Woo) fill one row, the
+    rows are sorted, and each interval longer than 1e-12 names the cell
+    under its midpoint.  A row holds the crossings of the segment's major
+    axis, the one it crosses more gridlines of, in one block and those of
+    the other axis in a second; each block is padded to its longest
+    run."""
+    d, k0, n = _crossings(a, b)
+    n_seg = a.shape[1]
     width, height = grid.width, grid.height
-    # per beam, the segment ends and every x- and y-gridline crossing
-    # parameter, each axis padded with 1.0 to its own longest run; a
-    # gridline k between a and b gives (k - a) / d in [0, 1] even after
-    # rounding, so the padding sorts after every crossing and spans only
-    # empty intervals
-    widths = n.max(axis=1).astype(np.int64)
-    ts = np.empty((n_beams, 2 + int(widths.sum())))
+    # per segment, its ends and every gridline crossing parameter, each
+    # block padded with 1.0; a gridline k between a and b gives
+    # (k - a) / d in [0, 1] even after rounding, so the padding sorts
+    # after every crossing and spans only empty intervals
+    major = np.argmax(n, axis=0)
+    block = (np.array([major, 1 - major]), np.arange(n_seg))
+    ab, db, k0b, nb = a[block], d[block], k0[block], n[block]
+    widths = nb.max(axis=1, initial=0.0).astype(np.int64)
+    ts = np.empty((n_seg, 2 + int(widths.sum())))
     ts[:, 0] = 0.0
     ts[:, 1] = 1.0
     col = 2
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for axis, m in enumerate(widths):
-            k = k0[axis, :, None] + np.arange(m)
+        for j, m in enumerate(widths):
+            k = k0b[j, :, None] + np.arange(m)
             t = ts[:, col : col + m]
-            np.divide(k - a[axis, :, None], d[axis, :, None], out=t)
-            np.copyto(t, 1.0, where=k >= (k0[axis] + n[axis])[:, None])
+            np.divide(k - ab[j, :, None], db[j, :, None], out=t)
+            np.copyto(t, 1.0, where=k >= (k0b[j] + nb[j])[:, None])
             col += m
     ts.sort(axis=1)
 
-    # each interval longer than 1e-12 names the cell under its midpoint;
-    # only the longest row of ends and crossings can hold one
-    span = 1 + int((n[0] + n[1]).max())
+    # only the longest row of ends and crossings can hold a kept interval
+    span = 1 + int((n[0] + n[1]).max(initial=0.0))
     lo, hi = ts[:, :span], ts[:, 1 : span + 1]
     tm = 0.5 * (lo + hi)
     cols = np.floor(a[0, :, None] + tm * d[0, :, None])
     rows = np.floor(a[1, :, None] + tm * d[1, :, None])
-    cell = rows * width + cols
     kept = hi - lo > 1e-12
     kept &= (0 <= cols) & (cols < width) & (0 <= rows) & (rows < height)
-    # the robot's own cell is left out; cells run monotonically away from
-    # it along each segment, so wherever it is traced it is traced first
-    kept &= cell != start[:, None]
-    free[cell[kept].astype(np.int64)] = True
-
-    # a hit marks the last kept cell, and only when the hit point itself
-    # lies in it; a beam clipped at the grid edge ends in another cell
-    last = span - 1 - np.argmax(kept[:, ::-1], axis=1)
-    beam = np.arange(n_beams)
-    occupied = (
-        kept[beam, last] & hit
-        & (cols[beam, last] == end[0]) & (rows[beam, last] == end[1])
-    )
-    hits[cell[beam, last][occupied].astype(np.int64)] = True
+    cell = rows * width + cols
+    # cells run monotonically away from the start along each segment, so
+    # wherever the start cell is traced it is traced first
+    kept &= cell != _flat_cell(grid, a)[:, None]
+    return cell, kept
 
 
 def _window_count(mask: np.ndarray, half: int, axis: int) -> np.ndarray:

@@ -15,19 +15,22 @@ it stops once `max_time` has passed, senses, lets the motion choose a
 command (or end), steps the world, and asks the motion whether to stop.
 The motions differ only in that choice and in what they sense:
 
-- mapping motions (lane drives, sidestep jogs, lane-end spins) queue a
-  range scan with the pose it was taken from when one is due, capture
-  camera frames, ingest the frames whose detector latency has passed into
-  the filter, and pin the believed pose to ground truth after the step;
+- mapping motions (lane drives, sidestep jogs, lane-end spins) queue the
+  pose a range scan is due from, capture camera frames, ingest the frames
+  whose detector latency has passed into the filter, and step pinned:
+  the believed pose lands on ground truth and no odometry is integrated;
 - navigation, collection-phase reversing and turning to face a spot
   sense nothing;
 - pickup episodes and the look-back after one capture frames and drain
   the ready ones through a filter on the expected item position.
 
 Nothing reads the grid before the sweep ends, and folding scans into it
-is a join that does not depend on their order, so the queued scans are
-folded in one `integrate_scan` call when the sweep ends, also when
-`max_time` cuts it short, just before the morphological cleanup.
+is a join that does not depend on their order.  The range scanner is
+noiseless and draws nothing from the generator, and a queued pose is the
+true pose, since every mapping tick is pinned.  So when the sweep ends,
+also when `max_time` cuts it short, the queued poses are cast in one
+`World.scan` call and folded in one `integrate_scan` call, just before
+the morphological cleanup.
 
 Localization is assumed good while mapping, then dead-reckons with drift
 for the whole collection phase.  That split is what makes late-tour
@@ -63,7 +66,7 @@ from .geometry import (
     distance,
     project_detection,
 )
-from .gridmap import FREE, OccupancyGrid, Scan, inflate, integrate_scan, morph_close_open, save_map
+from .gridmap import FREE, OccupancyGrid, inflate, integrate_scan, morph_close_open, save_map
 from .pickup import STOP, MotionCommand, PickupPhase, TooFar, start_pickup, turn_toward
 from .pickup import step as pickup_step
 from .planner import CostField, StartOccupied, approach_goal, astar, order_waypoints
@@ -133,7 +136,7 @@ class _StallTimer:
     def update(self, pose: Pose2D, dt: float) -> bool:
         """Account one tick; True once the pose has stayed within 1 cm of
         its anchor for 10 s."""
-        if distance(self._anchor.position, pose.position) > 0.01:
+        if distance(self._anchor, pose) > 0.01:
             self._anchor = pose
             self._stalled = 0.0
             return False
@@ -168,9 +171,9 @@ class PathFollower:
     def command(self, pose: Pose2D, dt: float) -> MotionCommand | None:
         """Next command, or None once the final waypoint is reached."""
         last = len(self._wps) - 1
-        while self._idx < last and distance(pose.position, self._wps[self._idx]) <= self._advance:
+        while self._idx < last and distance(pose, self._wps[self._idx]) <= self._advance:
             self._idx += 1
-        if self._idx == last and distance(pose.position, self._wps[last]) <= self._final:
+        if self._idx == last and distance(pose, self._wps[last]) <= self._final:
             return None
         try:
             err = angle_to(pose, self._wps[self._idx])
@@ -243,9 +246,9 @@ class _Runner:
         # one raw (t, phase, v, omega, mechanism_on, x, y, theta) row per
         # pickup tick; formatted only when dumped
         self.episode_logs: list[list[tuple]] = []
-        # (pose, scan) pairs of the mapping sweep, folded into the grid
-        # when the sweep ends
-        self.pending_scans: list[tuple[Pose2D, Scan]] = []
+        # poses the mapping sweep scans from, cast and folded into the
+        # grid when the sweep ends
+        self.pending_poses: list[Pose2D] = []
         self._next_scan = 0.0
         self._next_frame = 0.0
 
@@ -267,8 +270,8 @@ class _Runner:
         Each tick: stop once max_time has passed; sense; let
         `command(detections)` choose this tick's command (None ends the
         motion); step; stop when `after()` returns a truthy reason.  With
-        `mapping` the tick senses as the sweep does and pins the believed
-        pose to the truth; with an `accept` filter it captures frames and
+        `mapping` the tick senses as the sweep does and steps pinned to
+        the truth; with an `accept` filter it captures frames and
         hands `command` what `_drain` accepts; otherwise it senses nothing.
         `ticks` bounds a fixed move.  Returns TIMED_OUT when max_time ran
         out, the reason `after` gave, or None.
@@ -295,9 +298,7 @@ class _Runner:
         return None
 
     def _step(self, cmd: MotionCommand, mapping: bool) -> None:
-        self.world.step_world(cmd)
-        if mapping:
-            self.world.sync_believed()
+        self.world.step_world(cmd, pinned=mapping)
         sp = StampedPose(self.world.t, self.world.robot.believed_pose)
         self.buf.insert(sp)
         self.trajectory.append(sp)
@@ -353,11 +354,10 @@ class _Runner:
             self._next_frame = t + self.cfg.frame_interval
 
     def _sense_map(self) -> None:
-        """Mapping-phase sensing: queued grid scans plus filter detections."""
+        """Mapping-phase sensing: queued scan poses plus filter detections."""
         t = self.world.t
         if t >= self._next_scan:
-            scan = self.world.scan(self.cfg.camera, self.cfg.n_beams, self.cfg.scan_max_range)
-            self.pending_scans.append((self.pose, scan))
+            self.pending_poses.append(self.pose)
             self._next_scan = t + self.cfg.scan_interval
         self._capture_frame()
         self._ingest_frames(t)
@@ -428,8 +428,8 @@ class _Runner:
 
     def mapping_sweep(self) -> None:
         """Lawnmower coverage with a full look-around at each lane end,
-        then the queued scans folded into the grid and morphological
-        cleanup of the finished grid."""
+        then the queued scans cast and folded into the grid, and
+        morphological cleanup of the finished grid."""
         cfg = self.cfg
         margin = 0.5
         arena_w, arena_h = cfg.world.arena_w, cfg.world.arena_h
@@ -451,8 +451,10 @@ class _Runner:
                 self._move(spin, 2.0 * math.pi, cfg.turn_rate, mapping=True)
         # frames still in the detector pipeline at phase end
         self._ingest_frames(self.world.t + cfg.noise.detector_latency + 1.0)
-        integrate_scan(self.grid, self.pending_scans)
-        self.pending_scans = []
+        poses = np.array([(p.x, p.y, p.theta) for p in self.pending_poses]).reshape(-1, 3)
+        self.pending_poses = []
+        bearings, ranges = self.world.scan(cfg.camera, cfg.n_beams, cfg.scan_max_range, poses)
+        integrate_scan(self.grid, poses, bearings, ranges, cfg.scan_max_range)
         self.grid = morph_close_open(self.grid)
 
     # ------------------------------------------------------------------ #
@@ -800,11 +802,18 @@ def run_batch(
     """Run every sweep-point x seed combination sequentially.
 
     Returns (rows, aggregates) and, when out_dir is set, writes runs.csv
-    (one row per run) and aggregate.csv (one row per sweep point).
+    (one row per run) and aggregate.csv (one row per sweep point).  The
+    seeds come from `seeds` alone, so sweeping `world.seed` is a
+    ConfigError, and so is sweeping one key twice.
     """
     if not seeds:
         raise ConfigError("seeds must be non-empty")
     sweep_keys = [key for key, _ in sweep]
+    if "world.seed" in sweep_keys:
+        raise ConfigError("world.seed cannot be swept; list the seeds with --seeds")
+    repeated = sorted({key for key in sweep_keys if sweep_keys.count(key) > 1})
+    if repeated:
+        raise ConfigError(f"sweep key {repeated[0]!r} is given more than once")
     combos = list(product(*(values for _, values in sweep)))
     rows: list[dict] = []
     aggregates: list[dict] = []

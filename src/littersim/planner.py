@@ -21,7 +21,9 @@ from typing import Callable
 import numpy as np
 
 from .geometry import GroundPoint, Pose2D
-from .gridmap import FREE, OccupancyGrid, trace_cells
+# trace_cells is not called here but stays bound: tracing tools wrap it
+# under this module's name
+from .gridmap import FREE, OccupancyGrid, trace_cells, trace_many  # noqa: F401
 
 SQRT2 = math.sqrt(2.0)
 COST_TIE = 1e-9
@@ -29,6 +31,10 @@ _RIM = 1e-9  # distance band around the annulus bounds re-decided with math.hypo
 # a first, bounded cost search stops this many cells' worth of path past
 # the nearest target's octile distance
 _LIMIT_MARGIN_CELLS = 10
+# after the cheapest tie group, `_cheapest` hands its pass test whole tie
+# groups of at most about this many targets at once, which bounds the
+# temporaries of one batched sight-line trace
+_MAX_BATCH = 64
 
 
 class StartOccupied(ValueError):
@@ -321,17 +327,20 @@ def approach_goal(
     ).tolist():
         di = math.hypot(float(dx[i]), float(dy[i]))
         inside[i] = min_dist <= di <= standoff
-    rows, cols = rows[inside], cols[inside]
+    rows, cols, gx, gy = rows[inside], cols[inside], gx[inside], gy[inside]
+    xs = grid.origin.x + c * gx - s * gy
+    ys = grid.origin.y + s * gx + c * gy
     if len(rows) == 0 or grid.world_to_cell(robot.x, robot.y) is None:
         cf.field(robot, limit=0.0)  # raises StartOccupied for a bad start
         return None
-    seen: dict[int, bool] = {}
+    # per candidate: -1 not traced yet, else whether it sees the trash
+    seen = np.full(len(rows), -1, dtype=np.int8)
 
-    def sees(i: int) -> bool:
-        if i not in seen:
-            cx, cy = grid.cell_center(int(cols[i]), int(rows[i]))
-            seen[i] = _line_of_sight(grid, cx, cy, trash, tcell)
-        return seen[i]
+    def sees(idx: np.ndarray) -> np.ndarray:
+        todo = idx[seen[idx] < 0]
+        if len(todo):
+            seen[todo] = _lines_of_sight(grid, xs[todo], ys[todo], trash, tcell)
+        return seen[idx] == 1
 
     best = _cheapest(cf, robot, rows, cols, sees)
     if best is None:
@@ -346,20 +355,25 @@ def _cheapest(
     start: GroundPoint,
     rows: np.ndarray,
     cols: np.ndarray,
-    passes: Callable[[int], bool] = lambda i: True,
+    passes: Callable[[np.ndarray], np.ndarray] = lambda idx: np.ones(len(idx), dtype=bool),
 ) -> int | None:
     """Index i of the cheapest target cell (cols[i], rows[i]) from start
     that passes `passes`, ties toward the lower index; None when no
-    reachable target passes.
+    reachable target passes.  `passes` maps an array of target indices
+    to a boolean array.
 
     Distinct 8-connected path costs lie far more than 2 * COST_TIE apart,
     while equal ones differ only in rounding, far below COST_TIE; so this
     equals the scan in index order that keeps a passing target only when
     it undercuts the best so far by COST_TIE.  Targets are tested in
     increasing cost (a stable sort) until one passes, at cost c*; the pick
-    is the lowest passing index costing below c* + COST_TIE.  Costs are
-    first searched only to `_first_cost_limit`: within it they are bit for
-    bit the unbounded ones, and costlier targets read inf.  When
+    is the lowest passing index costing below c* + COST_TIE.  The first
+    test takes the cheapest tie group, the targets costing below the
+    cheapest one's cost + COST_TIE; each later test takes whole tie
+    groups of at least twice as many targets as the one before, up to
+    about `_MAX_BATCH`.  Costs
+    are first searched only to `_first_cost_limit`: within it they are
+    bit for bit the unbounded ones, and costlier targets read inf.  When
     c* + COST_TIE lies within the limit, so does c*'s whole tie group and
     the pick is final; otherwise the search is repeated without a limit.
     """
@@ -369,17 +383,24 @@ def _cheapest(
         finite = np.flatnonzero(np.isfinite(costs))
         order = finite[np.argsort(costs[finite], kind="stable")]
         sorted_costs = costs[order]
-        k = next((k for k, i in enumerate(order.tolist()) if passes(i)), None)
+        k, lo, size = None, 0, 1
+        while k is None and lo < len(order):
+            # whole tie groups holding at least `size` targets
+            last = sorted_costs[min(lo + size, len(order)) - 1]
+            hi = int(np.searchsorted(sorted_costs, last + COST_TIE))
+            ok = np.flatnonzero(passes(order[lo:hi]))
+            if len(ok):
+                k = lo + int(ok[0])
+            lo, size = hi, min(2 * size, _MAX_BATCH)
         if k is not None and sorted_costs[k] + COST_TIE <= limit:
             break
     else:
         return None
-    i = int(order[k])
-    # every target sorted before i failed; of those tied with i, try the
-    # ones of lower index, lowest first
+    # every target sorted before order[k] failed; the pick is the lowest
+    # passing index of those tied with it
     end = int(np.searchsorted(sorted_costs, sorted_costs[k] + COST_TIE))
-    ties = sorted(j for j in order[k + 1 : end].tolist() if j < i)
-    return next((j for j in ties if passes(j)), i)
+    ties = order[k:end]
+    return int(ties[passes(ties)].min())
 
 
 def _first_cost_limit(
@@ -394,18 +415,20 @@ def _first_cost_limit(
     return res * (float(octile.min()) + _LIMIT_MARGIN_CELLS)
 
 
-def _line_of_sight(
+def _lines_of_sight(
     grid: OccupancyGrid,
-    x: float,
-    y: float,
+    xs: np.ndarray,
+    ys: np.ndarray,
     trash: GroundPoint,
     tcell: tuple[int, int] | None,
-) -> bool:
-    cells = trace_cells(grid, x, y, trash.x, trash.y)
-    start = grid.world_to_cell(x, y)
-    for cell in cells:
-        if cell == start or cell == tcell:
-            continue
-        if grid.cells[cell[1], cell[0]] != FREE:
-            return False
-    return True
+) -> np.ndarray:
+    """Whether the straight line from each (xs[i], ys[i]) to the trash
+    crosses only Free cells, its own start cell and the trash cell
+    `tcell` exempt.  All lines are traced in one `trace_many` block."""
+    n = len(xs)
+    cell, kept = trace_many(grid, xs, ys, np.full(n, trash.x), np.full(n, trash.y))
+    if tcell is not None:
+        kept &= cell != tcell[1] * grid.width + tcell[0]
+    blocked = np.zeros(kept.shape, dtype=bool)
+    blocked[kept] = grid.cells.ravel()[cell[kept].astype(np.int64)] != FREE
+    return ~blocked.any(axis=1)

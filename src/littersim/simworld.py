@@ -34,6 +34,10 @@ TRASH_RADIUS = 0.1  # nominal object radius used for apparent size, meters
 # largest half-size of a phantom detector box, pixels; the image must be at
 # least twice this wide and tall for a phantom to fit
 PHANTOM_MAX_HALF = 24.0
+# rays `World.scan` casts together in one `_ray_ranges` call.  Blocks of
+# 1024 cast a default sweep in about 1.3 ms against 1.7 ms, but their
+# temporaries raise peak RSS over 32 default missions by about 0.3 MB.
+SCAN_BLOCK = 256
 
 
 class LayoutError(ValueError):
@@ -152,6 +156,8 @@ class WorldConfig:
             raise ValueError("arena must have positive extent")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.obstacle_count < 0 or self.trash_count < 0:
             raise ValueError("counts must be non-negative")
 
@@ -297,7 +303,6 @@ class World:
                 [[b.x1 for b in boxes], [b.y1 for b in boxes]],
             ]
         )[..., None]
-        self._bearings: dict[tuple[float, int], tuple[np.ndarray, list[float]]] = {}
         self.robot = RobotState(cfg.start, cfg.start)
         self.t = 0.0
         self.last_contact = False
@@ -339,7 +344,7 @@ class World:
                 return True
         return False
 
-    def step_world(self, cmd) -> None:
+    def step_world(self, cmd, pinned: bool = False) -> None:
         """Advance one tick of cfg.dt under a MotionCommand-like object.
 
         True pose: exact unicycle integration, stopped at obstacle contact
@@ -347,9 +352,13 @@ class World:
         probes step with `_unicycle` on plain floats, as `_advance` does,
         so they land on the same bits without a Pose2D per probe.  Believed
         pose: same integrator over the noisy, biased command, scaled by the
-        same contact fraction (stalled wheels do not advance odometry).  With
-        the mechanism on, any uncollected trash within brush_halfwidth of
-        the segment the base swept this tick is collected.
+        same contact fraction (stalled wheels do not advance odometry).
+        A `pinned` tick ends with the believed pose on the true one, as
+        `sync_believed` leaves it, and integrates no odometry; it still
+        draws the odometry noise, so the generator stream is the same as
+        for an unpinned tick.  With the mechanism on, any uncollected
+        trash within brush_halfwidth of the segment the base swept this
+        tick is collected.
         """
         dt = self.cfg.dt
         v = cmd.v
@@ -378,12 +387,19 @@ class World:
         moving = abs(v) > 1e-12 or abs(omega) > 1e-12
         bv, bo = v, omega + nz.odom_heading_bias * v
         if moving and nz.odom_noise_sigma > 0.0:
-            # wheel measurement noise, present only while the wheels turn
-            bv += self.rng.normal(0.0, nz.odom_noise_sigma)
-            bo += self.rng.normal(0.0, nz.odom_noise_sigma)
-        self.robot.believed_pose = _advance(
-            self.robot.believed_pose, bv * frac, bo * frac, dt
-        )
+            # wheel measurement noise, present only while the wheels turn;
+            # 0.0 + sigma * z is the draw `rng.normal(0.0, sigma)` makes,
+            # at about half its cost
+            sigma = nz.odom_noise_sigma
+            normal = self.rng.standard_normal
+            bv += 0.0 + sigma * normal()
+            bo += 0.0 + sigma * normal()
+        if pinned:
+            self.sync_believed()
+        else:
+            self.robot.believed_pose = _advance(
+                self.robot.believed_pose, bv * frac, bo * frac, dt
+            )
 
         if getattr(cmd, "mechanism_on", False):
             for item in self.trash:
@@ -401,18 +417,21 @@ class World:
     # ------------------------------------------------------------------ #
     # sensing
 
-    def _ray_ranges(self, ox: float, oy: float, angles: np.ndarray) -> np.ndarray:
+    def _ray_ranges(self, ox, oy, angles: np.ndarray) -> np.ndarray:
         """Distance to the nearest structure (obstacle face or arena wall)
-        along each angle.  Origin must be inside the arena.
+        along each angle.  The origin (ox, oy) is one point for every ray,
+        or one point per ray as two arrays shaped like `angles`; it must
+        lie inside the arena.
 
         Every ray meets the arena and every obstacle in one
         (box, ray) slab test.  Each element is computed as a loop over
         obstacles would compute it, and the nearest obstacle entry is an
         exact min over obstacles, so the ranges are bitwise those of the
-        loop and do not depend on how rays are grouped into calls."""
+        loop and do not depend on how rays or origins are grouped into
+        calls."""
         d = np.array([np.cos(angles), np.sin(angles)])
         d = np.where(np.abs(d) < 1e-12, 1e-12, d)
-        t = (self._slabs - np.array([ox, oy])[:, None, None]) / d[:, None, :]
+        t = (self._slabs - np.array([ox, oy]).reshape(2, 1, -1)) / d[:, None, :]
         near = np.minimum(t[0], t[1])
         far = np.maximum(t[0], t[1])
         tmin = np.maximum(near[0], near[1])
@@ -424,20 +443,42 @@ class World:
         entry = np.where(hit, tmin, np.inf).min(axis=0, initial=np.inf)
         return np.minimum(exit_range, entry)
 
-    def scan(self, cam: CameraModel, n_beams: int = 32, max_range: float = 3.5) -> list[tuple[float, float, float]]:
-        """Forward range scan over the camera's horizontal FOV, cast from
-        the robot base.  Entries are (bearing, range, max_range) with range
-        capped at max_range (a capped ray means no hit)."""
-        pose = self.robot.true_pose
-        key = (cam.hfov, n_beams)
-        cached = self._bearings.get(key)
-        if cached is None:
-            bearings = np.linspace(-0.5 * cam.hfov, 0.5 * cam.hfov, n_beams)
-            cached = self._bearings[key] = (bearings, bearings.tolist())
-        bearings, bearing_list = cached
-        dists = self._ray_ranges(pose.x, pose.y, pose.theta + bearings)
-        dists = np.minimum(dists, max_range)
-        return [(b, d, max_range) for b, d in zip(bearing_list, dists.tolist())]
+    def scan(
+        self,
+        cam: CameraModel,
+        n_beams: int = 32,
+        max_range: float = 3.5,
+        poses: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Forward range scans over the camera's horizontal FOV, cast from
+        the robot base.
+
+        Returns (bearings, ranges): the n_beams beam bearings relative to
+        the heading, evenly spaced over the FOV, and one row of ranges per
+        pose, each capped at max_range (a capped ray means no hit).
+        `poses` holds (x, y, theta) rows; None scans once from the true
+        pose.  The sensor is noiseless and draws nothing from the
+        generator, so a scan depends only on its pose and the fixed
+        layout, and a caller may queue poses and cast them all at once.
+        The rays of all poses go through `_ray_ranges` SCAN_BLOCK at a
+        time, so the memory a cast needs does not grow with the number of
+        poses; each range has the same bits as in a cast of its pose
+        alone.
+        """
+        bearings = np.linspace(-0.5 * cam.hfov, 0.5 * cam.hfov, n_beams)
+        if poses is None:
+            pose = self.robot.true_pose
+            poses = [(pose.x, pose.y, pose.theta)]
+        poses = np.asarray(poses, dtype=float).reshape(-1, 3)
+        ox = np.repeat(poses[:, 0], n_beams)
+        oy = np.repeat(poses[:, 1], n_beams)
+        angles = (poses[:, 2, None] + bearings).ravel()
+        ranges = np.empty(len(angles))
+        for lo in range(0, len(angles), SCAN_BLOCK):
+            hi = lo + SCAN_BLOCK
+            ranges[lo:hi] = self._ray_ranges(ox[lo:hi], oy[lo:hi], angles[lo:hi])
+        np.minimum(ranges, max_range, out=ranges)
+        return bearings, ranges.reshape(len(poses), n_beams)
 
     def detect(
         self,

@@ -140,6 +140,51 @@ def test_bad_seeds_and_sweep_exit_1(tmp_path, capsys):
     assert err.count("config error") == 3
 
 
+def test_negative_seed_exits_1(tmp_path, capsys):
+    # numpy's generator takes no negative seed; the config says so first
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("world.seed = -5\n", encoding="utf-8")
+    assert main(["run", "--seed", "-1"]) == 1
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert main(["map", "--config", str(cfg), "--out", str(tmp_path / "m.grid")]) == 1
+    assert main(["batch", "--seeds=-1..0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: seed must be non-negative, got -1"] + [
+        "config error: seed must be non-negative, got -5"
+    ] * 2 + ["config error: seed must be non-negative, got -1"]
+
+
+def test_batch_rejects_sweeping_the_seed(tmp_path, capsys):
+    # --seeds would override the swept seed on every row
+    cfg = tmp_path / "trial.cfg"
+    cfg.write_text(TRIAL_CFG, encoding="utf-8")
+    out = tmp_path / "batch"
+    code = main([
+        "batch", "--config", str(cfg), "--seeds", "0", "--sweep", "world.seed=1,2",
+        "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: world.seed cannot be swept; list the seeds with --seeds\n"
+    )
+    assert not out.exists()
+
+
+def test_batch_rejects_a_key_swept_twice(tmp_path, capsys):
+    # two sweeps of one key would share one runs.csv column
+    cfg = tmp_path / "trial.cfg"
+    cfg.write_text(TRIAL_CFG, encoding="utf-8")
+    code = main([
+        "batch", "--config", str(cfg), "--seeds", "0",
+        "--sweep", "world.trash_count=1", "--sweep", "mission.standoff=2.0",
+        "--sweep", "world.trash_count=2",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: sweep key 'world.trash_count' is given more than once\n"
+    )
+
+
 def test_unknown_override_key_exits_1(tmp_path, capsys):
     cfg = tmp_path / "trial.cfg"
     cfg.write_text(TRIAL_CFG, encoding="utf-8")

@@ -14,10 +14,8 @@ from littersim.geometry import (
     Side,
     angle_to,
     bearing_from_pixel,
-    compose,
     distance,
     ground_point_to_pixel,
-    inverse,
     left_or_right,
     project_detection,
     wrap_angle,
@@ -61,35 +59,6 @@ def test_pose_keeps_its_dataclass_behaviour():
     assert not hasattr(p, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.theta = 0.0
-
-
-def test_compose_inverse_identity():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        p = Pose2D(*rng.uniform(-5, 5, size=2), float(rng.uniform(-9, 9)))
-        q = compose(p, inverse(p))
-        assert abs(q.x) < 1e-9 and abs(q.y) < 1e-9 and abs(wrap_angle(q.theta)) < 1e-9
-
-
-def test_compose_is_associative():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        a, b, c = (
-            Pose2D(*rng.uniform(-3, 3, size=2), float(rng.uniform(-4, 4)))
-            for _ in range(3)
-        )
-        lhs = compose(compose(a, b), c)
-        rhs = compose(a, compose(b, c))
-        assert abs(lhs.x - rhs.x) < 1e-9
-        assert abs(lhs.y - rhs.y) < 1e-9
-        assert abs(wrap_angle(lhs.theta - rhs.theta)) < 1e-9
-
-
-def test_compose_hand_value():
-    # 90 degrees left, then 1 m forward in the child frame -> (0, 1) facing +y
-    base = Pose2D(0.0, 0.0, math.pi / 2.0)
-    out = compose(base, Pose2D(1.0, 0.0, 0.0))
-    assert abs(out.x) < 1e-12 and abs(out.y - 1.0) < 1e-12
 
 
 def test_bearing_from_pixel_hand_values():

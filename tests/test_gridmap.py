@@ -195,11 +195,23 @@ def test_trace_cells_matches_brute_force_overlap(case):
                 assert (col, row) in got
 
 
+def fold_scan(grid, robot, scan, max_range):
+    """`integrate_scan` of one scan given as (bearing, range, max_range)
+    entries."""
+    integrate_scan(
+        grid,
+        [(robot.x, robot.y, robot.theta)],
+        [bearing for bearing, _, _ in scan],
+        [[rng for _, rng, _ in scan]],
+        max_range,
+    )
+
+
 def test_integrate_scan_worked_example():
     # range 1.0 at resolution 0.05: 19 Free cells then 1 Occupied
     g = OccupancyGrid(40, 40, 0.05, Pose2D(0.0, 0.0, 0.0))
     robot = Pose2D(0.025, 0.025, 0.0)
-    integrate_scan(g, [(robot, [(0.0, 1.0, 3.5)])])
+    integrate_scan(g, [(robot.x, robot.y, robot.theta)], [0.0], [[1.0]], 3.5)
     row = g.cells[0]
     assert (row[1:20] == FREE).all()
     assert row[20] == OCCUPIED
@@ -210,7 +222,7 @@ def test_integrate_scan_worked_example():
 def test_integrate_scan_max_range_marks_free_only():
     g = OccupancyGrid(40, 40, 0.05, Pose2D(0.0, 0.0, 0.0))
     robot = Pose2D(0.025, 0.025, 0.0)
-    integrate_scan(g, [(robot, [(0.0, 1.0, 1.0)])])
+    integrate_scan(g, [(robot.x, robot.y, robot.theta)], [0.0], [[1.0]], 1.0)
     row = g.cells[0]
     assert (row[1:21] == FREE).all()
     assert not (row == OCCUPIED).any()
@@ -219,11 +231,11 @@ def test_integrate_scan_max_range_marks_free_only():
 def test_integrate_scan_never_demotes_occupied():
     g = OccupancyGrid(40, 40, 0.05, Pose2D(0.0, 0.0, 0.0))
     robot = Pose2D(0.025, 0.025, 0.0)
-    integrate_scan(g, [(robot, [(0.0, 0.5, 3.5)])])
+    integrate_scan(g, [(robot.x, robot.y, robot.theta)], [0.0], [[0.5]], 3.5)
     hit = g.cells[0, 10]
     assert hit == OCCUPIED
     # a longer ray through the same cell leaves the hit in place
-    integrate_scan(g, [(robot, [(0.0, 1.5, 3.5)])])
+    integrate_scan(g, [(robot.x, robot.y, robot.theta)], [0.0], [[1.5]], 3.5)
     assert g.cells[0, 10] == OCCUPIED
 
 
@@ -319,7 +331,8 @@ def _scan_case(draw):
     grid = _draw_grid(draw)
     robot = _draw_pose(draw, grid)
     max_range = draw(st.sampled_from([1.0, 3.5, 3.0 * grid.resolution]))
-    return grid, robot, draw(st.lists(_beams(max_range, grid.resolution), max_size=40))
+    beams = draw(st.lists(_beams(max_range, grid.resolution), max_size=40))
+    return grid, robot, beams, max_range
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -331,13 +344,14 @@ def _scan_case(draw):
     OccupancyGrid(40, 80, 0.05, Pose2D(0.0, 0.0, 0.0)),
     Pose2D((10 - 5e-4) * 0.05, 0.025, math.pi / 2 - 1e-4),
     [(0.0, 3.0, 3.5)],
+    3.5,
 ))
 def test_integrate_scan_equals_per_beam_reference(case):
-    grid, robot, scan = case
+    grid, robot, scan, max_range = case
     grid = grid.copy()
     expected = grid.copy()
     integrate_scan_per_beam(expected, robot, scan)
-    integrate_scan(grid, [(robot, scan)])
+    fold_scan(grid, robot, scan, max_range)
     assert np.array_equal(grid.cells, expected.cells)
 
 
@@ -346,35 +360,49 @@ _PASS = gridmap.PASS_BEAMS
 
 @st.composite
 def _fold_case(draw, total):
-    """A grid and a list of (pose, scan) pairs holding `total` beams in
-    all (a small drawn total when None), cut into scans at drawn points, so
-    empty scans occur; every scan has its own drawn pose."""
+    """A grid and N scans of B beams each, N x B = `total` beams in all (a
+    small drawn total when None): N poses as (x, y, theta) rows, the B
+    shared bearings, the N x B ranges, and the max range.  N is a drawn
+    divisor of the total, so one scan may hold every beam or one beam;
+    with no beams, N or B is 0."""
     grid = _draw_grid(draw)
     max_range = draw(st.sampled_from([1.0, 3.5, 3.0 * grid.resolution]))
     if total is None:
         total = draw(st.integers(0, 40))
-    n_scans = draw(st.integers(1 if total else 0, 8))
-    cuts = sorted(draw(st.lists(
-        st.integers(0, total), min_size=max(n_scans - 1, 0), max_size=max(n_scans - 1, 0)
-    )))
-    sizes = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, total])][:n_scans]
-    # drawn edge-case beams mixed with seeded random ones, so long lists
-    # stay cheap to draw
-    pool = draw(st.lists(_beams(max_range, grid.resolution), min_size=1, max_size=8))
+    if total:
+        n_scans = draw(st.sampled_from([m for m in range(1, total + 1) if total % m == 0]))
+        n_beams = total // n_scans
+    else:
+        n_scans, n_beams = draw(st.sampled_from([(0, 0), (0, 5), (3, 0)]))
+    # drawn edge-case poses and beams mixed with seeded random ones, so
+    # long lists stay cheap to draw
+    pose_pool = [_draw_pose(draw, grid) for _ in range(draw(st.integers(1, 4)))]
+    beam_pool = draw(st.lists(_beams(max_range, grid.resolution), min_size=1, max_size=8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scans = []
-    for size in sizes:
-        robot = _draw_pose(draw, grid)
-        scan = [
-            pool[rng.integers(len(pool))] if rng.random() < 0.5 else (
+    size = max(grid.width, grid.height) * grid.resolution
+
+    def pick(pool, random):
+        return pool[rng.integers(len(pool))] if rng.random() < 0.5 else random()
+
+    poses = np.array([
+        (p.x, p.y, p.theta) for p in (
+            pick(pose_pool, lambda: Pose2D(
+                grid.origin.x + float(rng.uniform(-0.5, 1.5)) * size,
+                grid.origin.y + float(rng.uniform(-0.5, 1.5)) * size,
                 float(rng.uniform(-math.pi, math.pi)),
-                float(rng.uniform(0.0, 2.0 * max_range)),
-                max_range,
-            )
-            for _ in range(size)
-        ]
-        scans.append((robot, scan))
-    return grid, scans
+            ))
+            for _ in range(n_scans)
+        )
+    ]).reshape(n_scans, 3)
+    bearings = np.array([
+        pick(beam_pool, lambda: (float(rng.uniform(-math.pi, math.pi)),))[0]
+        for _ in range(n_beams)
+    ])
+    ranges = np.array([
+        pick(beam_pool, lambda: (0.0, float(rng.uniform(0.0, 2.0 * max_range))))[1]
+        for _ in range(n_scans * n_beams)
+    ]).reshape(n_scans, n_beams)
+    return grid, poses, bearings, ranges, max_range
 
 
 @pytest.mark.parametrize(
@@ -385,17 +413,18 @@ def _fold_case(draw, total):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_integrate_scan_folds_a_sequence_like_one_scan_at_a_time(total, data):
-    grid, scans = data.draw(_fold_case(total))
+    grid, poses, bearings, ranges, max_range = data.draw(_fold_case(total))
     folded = grid.copy()
-    integrate_scan(folded, scans)
-    for order in (scans, scans[::-1]):
+    integrate_scan(folded, poses, bearings, ranges, max_range)
+    for order in (range(len(poses)), range(len(poses))[::-1]):
         one_at_a_time = grid.copy()
-        for pair in order:
-            integrate_scan(one_at_a_time, [pair])
+        for i in order:
+            integrate_scan(one_at_a_time, poses[i : i + 1], bearings, ranges[i : i + 1], max_range)
         assert np.array_equal(folded.cells, one_at_a_time.cells)
     expected = grid.copy()
-    for robot, scan in scans:
-        integrate_scan_per_beam(expected, robot, scan)
+    for (x, y, theta), row in zip(poses, ranges):
+        scan = [(b, r, max_range) for b, r in zip(bearings.tolist(), row.tolist())]
+        integrate_scan_per_beam(expected, Pose2D(x, y, theta), scan)
     assert np.array_equal(folded.cells, expected.cells)
 
 

@@ -12,6 +12,7 @@ filtered on every call.
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -24,6 +25,7 @@ from littersim.geometry import (
     Pose2D,
     ground_point_to_pixel,
 )
+from littersim import simworld
 from littersim.pickup import MotionCommand
 from littersim.simworld import (
     DelayQueue,
@@ -299,13 +301,45 @@ def test_scan_bearings_are_the_linspace_of_each_fov():
     world = World(WorldConfig(obstacles=(Rect(2.0, 0.0, 2.5, 6.0),), trash=()), NoiseModel.zero())
     for cam, n in [(CameraModel(), 32), (CameraModel(hfov=1.0), 32), (CameraModel(), 7)]:
         for _ in range(2):
-            scan = world.scan(cam, n_beams=n, max_range=3.5)
+            got_bearings, ranges = world.scan(cam, n_beams=n, max_range=3.5)
             bearings = np.linspace(-0.5 * cam.hfov, 0.5 * cam.hfov, n)
-            assert [b for b, _, _ in scan] == bearings.tolist()
+            assert got_bearings.tobytes() == bearings.tobytes()
             pose = world.robot.true_pose
             want = np.minimum(loop_ray_ranges(world, pose.x, pose.y, pose.theta + bearings), 3.5)
-            assert [d for _, d, _ in scan] == want.tolist()
-            assert all(type(b) is float and type(d) is float for b, d, _ in scan)
+            assert ranges.dtype == want.dtype and ranges.shape == (1, n)
+            assert ranges[0].tobytes() == want.tobytes()
+
+
+@st.composite
+def _scan_poses(draw):
+    """A world and (x, y, theta) rows inside its arena, on obstacle and
+    arena corners and faces or anywhere, with a drawn ray block size."""
+    cfg, noise = draw(_worlds())
+    world = World(cfg, noise)
+    poses = []
+    for _ in range(draw(st.integers(0, 12))):
+        x = _snap(draw, draw(st.floats(0.0, cfg.arena_w)), cfg.arena_w, world.obstacles, 0)
+        y = _snap(draw, draw(st.floats(0.0, cfg.arena_h)), cfg.arena_h, world.obstacles, 1)
+        assume(world.arena.contains(x, y))
+        poses.append((x, y, draw(_BEARINGS)))
+    n_beams = draw(st.sampled_from([2, 7, 32]))
+    block = draw(st.one_of(st.sampled_from([1, n_beams, 1024]), st.integers(1, 100)))
+    return world, np.array(poses).reshape(-1, 3), n_beams, block
+
+
+@SETTINGS
+@given(_scan_poses(), st.sampled_from([CameraModel(), CameraModel(hfov=1.0)]))
+def test_multi_pose_scan_equals_one_cast_per_pose(case, cam):
+    # the blocked multi-origin cast gives every pose's row the bits of a
+    # `_ray_ranges` call from that pose alone
+    world, poses, n_beams, block = case
+    with mock.patch.object(simworld, "SCAN_BLOCK", block):
+        bearings, ranges = world.scan(cam, n_beams, 3.5, poses)
+    assert ranges.shape == (len(poses), n_beams)
+    want = [
+        np.minimum(world._ray_ranges(x, y, theta + bearings), 3.5) for x, y, theta in poses.tolist()
+    ]
+    assert ranges.tobytes() == np.concatenate([np.empty(0), *want]).tobytes()
 
 
 # --------------------------------------------------------------------- #

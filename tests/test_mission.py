@@ -125,9 +125,9 @@ def test_trajectory_keeps_every_pose_sample(tmp_path, monkeypatch):
     steps = []
     step_world = World.step_world
 
-    def counting_step(world, cmd):
+    def counting_step(world, cmd, pinned=False):
         steps.append(world.t)
-        return step_world(world, cmd)
+        return step_world(world, cmd, pinned)
 
     monkeypatch.setattr(World, "step_world", counting_step)
     out = tmp_path / "run"
@@ -403,17 +403,17 @@ def test_traced_layers_are_looked_up_on_the_mission_module(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("overrides", [{}, {"mission.max_time": ["60"]}], ids=["full", "max_time_60"])
 def test_mapping_sweep_folds_its_queued_scans_once(monkeypatch, overrides):
-    # the sweep queues every scan and folds them in one call, also when
-    # max_time cuts it short; the grid it hands to the cleanup is the one
-    # that folding the same scans one at a time gives
+    # the sweep queues every scan pose and folds the scans in one call,
+    # also when max_time cuts it short; the grid it hands to the cleanup
+    # is the one that folding the same scans one at a time gives
     cfg = build_config({"world.seed": ["0"], **overrides})
     folds = []
     before_cleanup = []
     integrate_scan, morph_close_open = mission.integrate_scan, mission.morph_close_open
 
-    def record_fold(grid, scans):
-        folds.append(list(scans))
-        integrate_scan(grid, scans)
+    def record_fold(grid, poses, bearings, ranges, max_range):
+        folds.append((poses, bearings, ranges, max_range))
+        integrate_scan(grid, poses, bearings, ranges, max_range)
 
     def record_cleanup(grid):
         before_cleanup.append(grid.copy())
@@ -423,16 +423,52 @@ def test_mapping_sweep_folds_its_queued_scans_once(monkeypatch, overrides):
     monkeypatch.setattr(mission, "morph_close_open", record_cleanup)
     runner = mission._mapped(cfg)
     assert len(folds) == 1 and len(before_cleanup) == 1
-    assert runner.pending_scans == []
-    scans = folds[0]
-    assert len(scans) > 100
+    assert runner.pending_poses == []
+    poses, bearings, ranges, max_range = folds[0]
+    assert len(poses) > 100
+    assert ranges.shape == (len(poses), cfg.n_beams)
+    assert max_range == cfg.scan_max_range
     if overrides:
         assert runner.world.t >= cfg.max_time
     one_at_a_time = mission._Runner(cfg).grid
     assert (one_at_a_time.cells == UNKNOWN).all()
-    for pair in scans:
-        integrate_scan(one_at_a_time, [pair])
+    for i in range(len(poses)):
+        integrate_scan(one_at_a_time, poses[i : i + 1], bearings, ranges[i : i + 1], max_range)
     assert one_at_a_time == before_cleanup[0]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_mapping_sweep_casts_from_the_true_pose_of_each_tick(monkeypatch, seed):
+    # every queued pose is the true pose of the tick that queued it, so the
+    # cast at sweep end gives the ranges a scan on that tick would have
+    cfg = build_config({"world.seed": [str(seed)]})
+    queued = []
+    live_scans = []
+    sense_map = mission._Runner._sense_map
+    scan = World.scan
+
+    def record_sense(runner):
+        before = len(runner.pending_poses)
+        sense_map(runner)
+        if len(runner.pending_poses) > before:
+            world = runner.world
+            queued.append((runner.pending_poses[-1], world.robot.true_pose))
+            live_scans.append(scan(world, cfg.camera, cfg.n_beams, cfg.scan_max_range)[1])
+
+    casts = []
+
+    def record_cast(world, *args, **kwargs):
+        casts.append(scan(world, *args, **kwargs))
+        return casts[-1]
+
+    monkeypatch.setattr(mission._Runner, "_sense_map", record_sense)
+    monkeypatch.setattr(World, "scan", record_cast)
+    mission._mapped(cfg)
+    assert len(queued) > 100
+    assert all(pose == true_pose for pose, true_pose in queued)
+    assert len(casts) == 1
+    _bearings, ranges = casts[0]
+    assert ranges.tobytes() == np.concatenate(live_scans).tobytes()
 
 
 def ring_search_nearest_free(grid, x, y, max_radius=0.6):

@@ -802,6 +802,54 @@ def test_approach_goal_equals_row_major_reference(case):
         assert approach_goal(trash, grid, robot, standoff, min_dist, cost_field=field) == want
 
 
+def line_of_sight(grid, x, y, trash, tcell):
+    """The per-candidate sight test `_lines_of_sight` batches: one
+    `trace_cells` walk from (x, y) to the trash, every traced cell Free
+    but the start cell and the trash cell."""
+    start = grid.world_to_cell(x, y)
+    return all(
+        grid.cells[cell[1], cell[0]] == FREE
+        for cell in trace_cells(grid, x, y, trash.x, trash.y)
+        if cell != start and cell != tcell
+    )
+
+
+@st.composite
+def _sight_case(draw):
+    """A grid, a trash point on or off it, and sight-line starts: cell
+    centers, the way approach_goal computes them, and drawn points."""
+    grid, _robot, trash, *_ = draw(_approach_case())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([0, 1, 2, 17, 60]))
+    cols = rng.integers(0, grid.width, n).tolist()
+    rows = rng.integers(0, grid.height, n).tolist()
+    starts = [grid.cell_center(col, row) for col, row in zip(cols, rows)]
+    extent = max(grid.width, grid.height) * grid.resolution
+    starts += draw(st.lists(
+        st.tuples(st.floats(-extent, 2.0 * extent), st.floats(-extent, 2.0 * extent)), max_size=4
+    ))
+    return grid, trash, starts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_sight_case())
+# diagonal lines through cell corners, from Occupied start cells, to a
+# trash point in an Occupied cell
+@example((
+    grid_from([[FREE, OCCUPIED, FREE], [OCCUPIED, FREE, OCCUPIED], [FREE, OCCUPIED, OCCUPIED]]),
+    GroundPoint(0.25, 0.25),
+    [(0.05, 0.05), (0.25, 0.05), (0.15, 0.15), (0.05, 0.25), (0.1, 0.1)],
+))
+def test_batched_lines_of_sight_equal_one_trace_per_candidate(case):
+    grid, trash, starts = case
+    tcell = grid.world_to_cell(trash.x, trash.y)
+    xs = np.array([x for x, _ in starts], dtype=float)
+    ys = np.array([y for _, y in starts], dtype=float)
+    got = planner._lines_of_sight(grid, xs, ys, trash, tcell)
+    assert got.dtype == bool and got.shape == (len(starts),)
+    assert got.tolist() == [line_of_sight(grid, x, y, trash, tcell) for x, y in starts]
+
+
 def test_approach_goal_sees_through_exempt_trash_cell():
     # trash cell itself occupied (inflation collar), ring around it free
     cells = np.full((21, 21), FREE, dtype=np.uint8)

@@ -141,6 +141,22 @@ def test_parked_robot_draws_no_odometry_noise():
     assert a.robot.believed_pose == b.robot.believed_pose
 
 
+def test_pinned_step_lands_on_the_truth_and_keeps_the_stream():
+    # a pinned tick draws the same odometry noise as a plain one, so the
+    # runs stay on one generator stream, and ends with belief on truth
+    pinned = empty_world(noise=NoiseModel(), seed=5)
+    plain = empty_world(noise=NoiseModel(), seed=5)
+    for cmd in (MotionCommand(0.4, 0.2), MotionCommand(0.0, 0.0), MotionCommand(0.0, -0.5)):
+        for _ in range(20):
+            pinned.step_world(cmd, pinned=True)
+            plain.step_world(cmd)
+            assert pinned.robot.believed_pose == pinned.robot.true_pose
+            assert pinned.robot.true_pose == plain.robot.true_pose
+            assert pinned.rng.bit_generator.state == plain.rng.bit_generator.state
+            assert pinned.t == plain.t
+    assert plain.robot.believed_pose != plain.robot.true_pose
+
+
 def test_sync_believed_snaps_to_truth():
     w = empty_world(noise=NoiseModel(), seed=5)
     for _ in range(50):
@@ -315,16 +331,19 @@ def test_scan_ranges_hit_walls_and_obstacles():
     cfg = WorldConfig(obstacles=(ob,), trash=(), start=Pose2D(0.6, 0.6, 0.0))
     w = World(cfg, NoiseModel.zero())
     cam = CameraModel()
-    scan = w.scan(cam, n_beams=33, max_range=3.5)
-    assert len(scan) == 33
-    mid = scan[16]  # dead ahead
-    assert mid[0] == pytest.approx(0.0)
-    assert mid[1] == pytest.approx(1.4)  # obstacle face at x = 2.0
-    assert all(r <= 3.5 + 1e-12 for _, r, _ in scan)
+    bearings, ranges = w.scan(cam, n_beams=33, max_range=3.5)
+    assert bearings.shape == (33,) and ranges.shape == (1, 33)
+    # dead ahead
+    assert bearings[16] == pytest.approx(0.0)
+    assert ranges[0, 16] == pytest.approx(1.4)  # obstacle face at x = 2.0
+    assert (ranges <= 3.5).all()
     # facing the near wall: range is the wall distance
     w2 = empty_world(start=Pose2D(0.6, 0.6, math.pi))
-    mid2 = w2.scan(cam, n_beams=33, max_range=3.5)[16]
-    assert mid2[1] == pytest.approx(0.6)
+    assert w2.scan(cam, n_beams=33, max_range=3.5)[1][0, 16] == pytest.approx(0.6)
+    # from given poses, one row each; the robot's own pose is not used
+    _, rows = w2.scan(cam, n_beams=33, max_range=3.5, poses=[(0.6, 0.6, 0.0), (0.6, 0.6, math.pi)])
+    assert rows[0, 16] == pytest.approx(3.5)  # capped before the far wall
+    assert rows[1, 16] == pytest.approx(0.6)
 
 
 def test_world_streams_are_deterministic():
