@@ -22,7 +22,7 @@ from .geometry import (
 from .gridmap import FormatError, OccupancyGrid, load_map, save_map
 from .mission import MissionReport, PerTrash, run_batch, run_mapping, run_mission
 from .pickup import PickupConfig, PickupPhase, PickupState, TooFar
-from .posebuffer import OutOfRange, PoseBuffer, StampedPose
+from .posebuffer import OutOfRange, PoseBuffer
 from .simworld import NoiseModel, Rect, TrashItem, World, WorldConfig
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "RawDetection",
     "Rect",
     "Side",
-    "StampedPose",
     "TooFar",
     "TrashHypothesis",
     "TrashItem",

@@ -10,6 +10,7 @@ error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .config import ConfigError, load_config, parse_config
@@ -42,6 +43,21 @@ def _parse_sweep(items: list[str]) -> list[tuple[str, list[str]]]:
             raise ConfigError(f"sweep {item!r} has no values")
         sweep.append((key.strip(), vals))
     return sweep
+
+
+def _attach_seed_lists(argv: list[str]) -> list[str]:
+    """Join `--seeds` to a value that starts with a minus and a digit.
+
+    argparse reads such a value as an option unless it is a plain negative
+    number, so `--seeds -1..0` would end in a usage error; as
+    `--seeds=-1..0` it reaches the seed check."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--seeds" and re.match(r"-\d", arg):
+            out[-1] = f"--seeds={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,7 +134,8 @@ def _cmd_map(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_seed_lists(argv))
     handlers = {"run": _cmd_run, "batch": _cmd_batch, "map": _cmd_map}
     try:
         return handlers[args.command](args)

@@ -23,6 +23,9 @@ from .simworld import PHANTOM_MAX_HALF, NoiseModel, Rect, WorldConfig
 SCENARIOS = ("full", "pickup_trial")
 # the sidestep after a contact first backs off this far, meters
 JOG_REVERSE = 0.4
+# most cells the occupancy grid may have, about 218 times the default
+# 160 x 120 grid; a finer map_resolution is a config error
+MAX_GRID_CELLS = 2**22
 
 
 class ConfigError(ValueError):
@@ -101,6 +104,17 @@ class MissionConfig:
                         f"mission.{name}: {motion} takes {need:g} s, longer than "
                         f"mission.max_time {self.max_time!r}"
                     )
+        # checked before any grid is allocated; a side too large for a
+        # float stays infinite
+        cols = _ceil(self.world.arena_w / self.map_resolution)
+        rows = _ceil(self.world.arena_h / self.map_resolution)
+        cells = cols * rows
+        if cells > MAX_GRID_CELLS:
+            count = f"{cells}" if cells < 10**15 else "over 10**15"
+            raise ConfigError(
+                f"mission.map_resolution: {self.map_resolution!r} m needs {count} grid "
+                f"cells over the arena; at most {MAX_GRID_CELLS} are allowed"
+            )
         if self.inflate_radius < 0.0:
             raise ConfigError("mission.inflate_radius: must be non-negative")
         if self.n_beams < 2:
@@ -140,6 +154,20 @@ class MissionConfig:
                 "mission.trial_distance: exceeds the pickup activation radius "
                 f"({ACTIVATION_RADIUS} m + 0.25 m tolerance)"
             )
+
+    @property
+    def grid_shape(self) -> tuple[int, int]:
+        """(width, height) of the occupancy grid in cells: the arena
+        divided by map_resolution, rounded up."""
+        return (
+            math.ceil(self.world.arena_w / self.map_resolution),
+            math.ceil(self.world.arena_h / self.map_resolution),
+        )
+
+
+def _ceil(x: float) -> float:
+    """math.ceil where it is defined, x itself at infinity."""
+    return math.ceil(x) if math.isfinite(x) else x
 
 
 def _cast_float(text: str) -> float:

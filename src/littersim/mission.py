@@ -12,8 +12,12 @@ looks again; if the item is still there it gets one retry episode.
 
 Every robot motion runs through one tick loop, `_Runner._run`.  Each tick
 it stops once `max_time` has passed, senses, lets the motion choose a
-command (or end), steps the world, and asks the motion whether to stop.
-The motions differ only in that choice and in what they sense:
+command (or end), steps the world, stores the believed pose in the one
+pose store, and asks the motion whether to stop.  Sensing runs only on a
+tick where something is due: a frame capture, a queued scan, or a drain
+of frames whose detector latency has passed; on every other tick the loop
+only compares the schedules.  The motions differ only in the command
+they choose and in what they sense:
 
 - mapping motions (lane drives, sidestep jogs, lane-end spins) queue the
   pose a range scan is due from, capture camera frames, ingest the frames
@@ -70,7 +74,7 @@ from .gridmap import FREE, OccupancyGrid, inflate, integrate_scan, morph_close_o
 from .pickup import STOP, MotionCommand, PickupPhase, TooFar, start_pickup, turn_toward
 from .pickup import step as pickup_step
 from .planner import CostField, StartOccupied, approach_goal, astar, order_waypoints
-from .posebuffer import OutOfRange, PoseBuffer, StampedPose, write_trajectory
+from .posebuffer import OutOfRange, PoseBuffer, write_trajectory
 from .simworld import DelayQueue, LayoutError, World, aerial_survey
 
 COLLECTED = "Collected"
@@ -230,16 +234,14 @@ class _Runner:
             )
         except LayoutError as exc:
             raise ConfigError(f"world layout: {exc}") from None
-        # the lookup buffer forgets poses past its horizon; the trajectory
-        # log keeps every one for trajectory.txt
-        self.buf = PoseBuffer()
-        self.trajectory = [StampedPose(0.0, self.world.robot.believed_pose)]
-        self.buf.insert(self.trajectory[0])
+        # every believed pose, stamped: frames look their capture pose up
+        # in it within its horizon, and it is dumped as trajectory.txt
+        self.poses = PoseBuffer()
+        self.poses.insert(0.0, self.world.robot.believed_pose)
         self.hypotheses: list[TrashHypothesis] = []
         self.confirmed_list: list[TrashHypothesis] = []
         self.frames = DelayQueue()
-        w = int(math.ceil(cfg.world.arena_w / cfg.map_resolution))
-        h = int(math.ceil(cfg.world.arena_h / cfg.map_resolution))
+        w, h = cfg.grid_shape
         self.grid = OccupancyGrid(w, h, cfg.map_resolution, Pose2D(0.0, 0.0, 0.0))
         self.nav_grid: OccupancyGrid | None = None
         self.cost_field: CostField | None = None
@@ -269,39 +271,44 @@ class _Runner:
 
         Each tick: stop once max_time has passed; sense; let
         `command(detections)` choose this tick's command (None ends the
-        motion); step; stop when `after()` returns a truthy reason.  With
-        `mapping` the tick senses as the sweep does and steps pinned to
-        the truth; with an `accept` filter it captures frames and
-        hands `command` what `_drain` accepts; otherwise it senses nothing.
-        `ticks` bounds a fixed move.  Returns TIMED_OUT when max_time ran
-        out, the reason `after` gave, or None.
+        motion); step, and store the believed pose; stop when `after()`
+        returns a truthy reason.  With `mapping` the tick senses as the
+        sweep does and steps pinned to the truth; with an `accept` filter
+        it captures frames and hands `command` what `_drain` accepts;
+        otherwise it senses nothing and hands `command` None.  Sensing
+        runs only when it is due: a frame capture once `_next_frame` is
+        reached, a drain once the frame queue's earliest ready time is,
+        and a queued scan once `_next_scan` is; on other ticks the
+        schedules are only compared.  `ticks` bounds a fixed move.
+        Returns TIMED_OUT when max_time ran out, the reason `after` gave,
+        or None.
         """
         world = self.world
+        robot = world.robot
+        frames = self.frames
+        poses = self.poses
         max_time = self.cfg.max_time
         detections = None
         for _ in count() if ticks is None else range(ticks):
-            if world.t >= max_time:
+            t = world.t
+            if t >= max_time:
                 return TIMED_OUT
             if mapping:
                 self._sense_map()
             elif accept is not None:
-                self._capture_frame()
-                detections = self._drain(world.t, accept)
+                if t >= self._next_frame:
+                    self._capture_frame()
+                detections = self._drain(t, accept) if t >= frames.earliest else []
             cmd = command(detections)
             if cmd is None:
                 return None
-            self._step(cmd, mapping)
+            world.step_world(cmd, mapping)
+            poses.insert(world.t, robot.believed_pose)
             if after is not None:
                 why = after()
                 if why:
                     return why
         return None
-
-    def _step(self, cmd: MotionCommand, mapping: bool) -> None:
-        self.world.step_world(cmd, pinned=mapping)
-        sp = StampedPose(self.world.t, self.world.robot.believed_pose)
-        self.buf.insert(sp)
-        self.trajectory.append(sp)
 
     def _ticks_for(self, amount: float, rate: float) -> int:
         """Ticks a fixed move of `amount` (m, rad or s) at `rate` per second
@@ -321,7 +328,7 @@ class _Runner:
         out = []
         for capture_t, boxes in self.frames.pop_ready(until):
             try:
-                pose = self.buf.pose_at(capture_t)
+                pose = self.poses.pose_at(capture_t)
             except OutOfRange:
                 continue
             for box in boxes:
@@ -345,22 +352,25 @@ class _Runner:
             self.hypotheses = ingest(self.hypotheses, det, self.cfg.filter)
 
     def _capture_frame(self) -> None:
+        """Capture a detector frame now; the caller checks it is due."""
         t = self.world.t
-        if t >= self._next_frame:
-            boxes = self.world.detect(
-                self.cfg.camera, self.cfg.frame_interval, self.cfg.detect_max_range
-            )
-            self.frames.push(t + self.cfg.noise.detector_latency, (t, boxes))
-            self._next_frame = t + self.cfg.frame_interval
+        boxes = self.world.detect(
+            self.cfg.camera, self.cfg.frame_interval, self.cfg.detect_max_range
+        )
+        self.frames.push(t + self.cfg.noise.detector_latency, (t, boxes))
+        self._next_frame = t + self.cfg.frame_interval
 
     def _sense_map(self) -> None:
-        """Mapping-phase sensing: queued scan poses plus filter detections."""
+        """Mapping-phase sensing, each part only when due: queue the scan
+        pose, capture a frame, and ingest the ready frames."""
         t = self.world.t
         if t >= self._next_scan:
             self.pending_poses.append(self.pose)
             self._next_scan = t + self.cfg.scan_interval
-        self._capture_frame()
-        self._ingest_frames(t)
+        if t >= self._next_frame:
+            self._capture_frame()
+        if t >= self.frames.earliest:
+            self._ingest_frames(t)
 
     def _move(
         self, cmd: MotionCommand, amount: float, rate: float,
@@ -501,7 +511,10 @@ class _Runner:
         cap), logging every step as a raw tuple; True if it ended DONE."""
         cfg = self.cfg
         dt = cfg.world.dt
-        t0 = self.world.t
+        world = self.world
+        robot = world.robot
+        pickup_cfg = cfg.pickup
+        t0 = world.t
         cap = (
             cfg.pickup.timeout
             + (cfg.standoff + 1.0) / cfg.pickup.drive_speed
@@ -512,15 +525,13 @@ class _Runner:
 
         def finished() -> bool:
             terminal = state.phase in (PickupPhase.DONE, PickupPhase.TIMED_OUT)
-            return terminal or self.world.t - t0 >= cap
+            return terminal or world.t - t0 >= cap
 
         def command(detections):
             nonlocal state
-            state, cmd = pickup_step(state, self.pose, detections, cfg.pickup, dt)
-            p = self.pose
-            log.append(
-                (self.world.t, state.phase, cmd.v, cmd.omega, cmd.mechanism_on, p.x, p.y, p.theta)
-            )
+            p = robot.believed_pose
+            state, cmd = pickup_step(state, p, detections, pickup_cfg, dt)
+            log.append((world.t, state.phase, cmd.v, cmd.omega, cmd.mechanism_on, p.x, p.y, p.theta))
             return cmd
 
         self._run(command, accept=self._near(expected), after=finished)
@@ -670,7 +681,7 @@ class _Runner:
         os.makedirs(out_dir, exist_ok=True)
         write_report(report, os.path.join(out_dir, "report.txt"))
         write_hypotheses(self.hypotheses, self.cfg.filter, os.path.join(out_dir, "hypotheses.txt"))
-        write_trajectory(self.trajectory, os.path.join(out_dir, "trajectory.txt"))
+        write_trajectory(self.poses, os.path.join(out_dir, "trajectory.txt"))
         with open(os.path.join(out_dir, "ground_truth.txt"), "w", encoding="utf-8") as fh:
             for ob in self.world.obstacles:
                 fh.write(f"obstacle = {ob.x0!r} {ob.y0!r} {ob.x1!r} {ob.y1!r}\n")

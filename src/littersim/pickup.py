@@ -10,14 +10,18 @@ running.  Once locked, the target never changes for the rest of the
 episode; an episode that fails to lock within the timeout gives up.
 
 `step` is pure: it takes a state and returns a new state plus the motion
-command for this tick, which keeps episodes replayable.
+command for this tick, which keeps episodes replayable.  A command that
+repeats for a whole phase is built once and reused: the spin-search
+command lives in the state, the drive-through command on the config.
+Commands are immutable, so sharing one changes nothing a caller can see.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .geometry import (
     CoincidentPoint,
@@ -80,6 +84,11 @@ class PickupConfig:
             # ALIGN could never finish, so every episode would time out
             raise ValueError(f"align_tolerance must be positive, got {self.align_tolerance!r}")
 
+    @cached_property
+    def drive_command(self) -> MotionCommand:
+        """The drive-through command, built on first use."""
+        return MotionCommand(self.drive_speed, 0.0, mechanism_on=True)
+
 
 @dataclass(frozen=True)
 class MotionCommand:
@@ -101,17 +110,29 @@ def turn_toward(err: float, rate: float, dt: float) -> float:
 
 @dataclass(frozen=True)
 class PickupState:
-    """FSM snapshot.  locked_target/drive_goal/axis are set together on lock
-    and never change afterwards; axis is the unit approach direction used
-    for the drive-past test."""
+    """FSM snapshot.  spin is the spin-search command, (0, +-spin_rate).
+    locked_target/drive_goal/axis are set together on lock and never
+    change afterwards; axis is the unit approach direction used for the
+    drive-past test."""
 
     phase: PickupPhase
     expected: GroundPoint
-    spin_omega: float
+    spin: MotionCommand
     elapsed: float = 0.0
     locked_target: GroundPoint | None = None
     drive_goal: GroundPoint | None = None
     axis: tuple[float, float] | None = None
+
+    @property
+    def spin_omega(self) -> float:
+        return self.spin.omega
+
+    def _next(self, phase: PickupPhase, elapsed: float) -> PickupState:
+        """This state in another phase or at another elapsed time."""
+        return PickupState(
+            phase, self.expected, self.spin, elapsed,
+            self.locked_target, self.drive_goal, self.axis,
+        )
 
 
 ACTIVATION_RADIUS = 2.0
@@ -135,7 +156,7 @@ def start_pickup(
         raise TooFar(f"expected trash {d:.2f} m away, activation radius is {ACTIVATION_RADIUS} m")
     side = left_or_right(robot, expected)
     omega = cfg.spin_rate if side in (Side.LEFT, Side.AHEAD) else -cfg.spin_rate
-    state = PickupState(PickupPhase.SPIN_SEARCH, expected, omega)
+    state = PickupState(PickupPhase.SPIN_SEARCH, expected, MotionCommand(0.0, omega))
     if not cfg.reidentify:
         state = _lock(state, robot, expected, cfg)
     return state
@@ -150,12 +171,14 @@ def _lock(state: PickupState, robot: Pose2D, target: GroundPoint, cfg: PickupCon
         ux, uy = math.cos(robot.theta), math.sin(robot.theta)
     else:
         ux, uy = dx / norm, dy / norm
-    return replace(
-        state,
-        phase=PickupPhase.ALIGN,
-        locked_target=target,
-        drive_goal=GroundPoint(target.x + cfg.overshoot * ux, target.y + cfg.overshoot * uy),
-        axis=(ux, uy),
+    return PickupState(
+        PickupPhase.ALIGN,
+        state.expected,
+        state.spin,
+        state.elapsed,
+        target,
+        GroundPoint(target.x + cfg.overshoot * ux, target.y + cfg.overshoot * uy),
+        (ux, uy),
     )
 
 
@@ -183,8 +206,8 @@ def step(
                 return _lock(state, robot, point, cfg), STOP
         elapsed = state.elapsed + dt
         if elapsed > cfg.timeout:
-            return replace(state, phase=PickupPhase.TIMED_OUT, elapsed=elapsed), STOP
-        return replace(state, elapsed=elapsed), MotionCommand(0.0, state.spin_omega)
+            return state._next(PickupPhase.TIMED_OUT, elapsed), STOP
+        return state._next(phase, elapsed), state.spin
 
     if phase is PickupPhase.ALIGN:
         assert state.drive_goal is not None
@@ -193,8 +216,7 @@ def step(
         except CoincidentPoint:
             err = 0.0  # already on top of the goal; the drive-past test ends it
         if abs(err) <= cfg.align_tolerance:
-            nxt = replace(state, phase=PickupPhase.DRIVE_THROUGH)
-            return nxt, MotionCommand(cfg.drive_speed, 0.0, mechanism_on=True)
+            return state._next(PickupPhase.DRIVE_THROUGH, state.elapsed), cfg.drive_command
         return state, MotionCommand(0.0, turn_toward(err, cfg.spin_rate, dt))
 
     if phase is PickupPhase.DRIVE_THROUGH:
@@ -203,7 +225,7 @@ def step(
         assert goal is not None
         past = (robot.x - goal.x) * ux + (robot.y - goal.y) * uy
         if past >= 0.0:
-            return replace(state, phase=PickupPhase.DONE), STOP
-        return state, MotionCommand(cfg.drive_speed, 0.0, mechanism_on=True)
+            return state._next(PickupPhase.DONE, state.elapsed), STOP
+        return state, cfg.drive_command
 
     return state, STOP

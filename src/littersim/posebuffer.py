@@ -1,9 +1,14 @@
 """Time-indexed pose history with interpolated lookup.
 
 Consumers receive sensor data stamped at capture time but delivered later;
-looking the capture-time pose up in this buffer is what lets them project
+looking the capture-time pose up in this store is what lets them project
 stale detections through the transform that was current when the frame was
 taken, instead of the transform that is current now.
+
+One store holds a run's whole pose history: every `(t, pose)` pair, in two
+parallel lists, which is also what `write_trajectory` dumps.  Nothing is
+evicted.  The retention horizon is enforced when `pose_at` looks a pose up,
+from the newest stamp, so an insert is two list appends.
 
 Single writer assumed: `insert` mutates, readers may call `pose_at` between
 inserts.  No locking is provided here.
@@ -11,10 +16,8 @@ inserts.  No locking is provided here.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
-from itertools import islice
 
 from .geometry import Pose2D, wrap_angle
 
@@ -27,23 +30,14 @@ class OutOfRange(KeyError):
     """Lookup outside the buffered time span; no extrapolation is done."""
 
 
-@dataclass(frozen=True, slots=True)
-class StampedPose:
-    t: float
-    pose: Pose2D
-
-
 class PoseBuffer:
-    """Bounded history of stamped poses, linearly interpolated on lookup.
+    """Every stamped pose, linearly interpolated on lookup within a horizon.
 
-    Entries are kept strictly increasing in time.  On every insert, entries
-    older than `newest.t - horizon` are evicted, so the span never exceeds
-    the retention horizon (60 s by default).
-
-    Entries live in two parallel lists, stamps and stamped poses, searched
-    with `bisect`.  Evicted entries stay below a head index until they
-    outnumber the live ones and are then dropped in one slice, so eviction
-    costs O(1) amortized.
+    Stamps are kept strictly increasing.  Iteration and `len` cover every
+    stored `(t, pose)` pair.  `pose_at` answers only from the oldest stamp
+    at or after `newest.t - horizon` (60 s by default) to the newest one,
+    the entries a buffer that evicted older ones on every insert would
+    still hold; `span` reports that window.
     """
 
     def __init__(self, horizon: float = 60.0):
@@ -51,41 +45,33 @@ class PoseBuffer:
             raise ValueError("horizon must be positive")
         self.horizon = horizon
         self._stamps: list[float] = []
-        self._entries: list[StampedPose] = []
-        self._head = 0  # index of the oldest live entry
+        self._poses: list[Pose2D] = []
 
     def __len__(self) -> int:
-        return len(self._entries) - self._head
+        return len(self._stamps)
 
-    def __iter__(self) -> Iterator[StampedPose]:
-        return islice(self._entries, self._head, None)
+    def __iter__(self) -> Iterator[tuple[float, Pose2D]]:
+        return zip(self._stamps, self._poses)
 
     def span(self) -> tuple[float, float] | None:
-        """(oldest stamp, newest stamp), or None when empty."""
-        if not self._stamps:
+        """(oldest stamp inside the horizon, newest stamp), or None when
+        empty."""
+        stamps = self._stamps
+        if not stamps:
             return None
-        return self._stamps[self._head], self._stamps[-1]
+        return stamps[bisect_left(stamps, stamps[-1] - self.horizon)], stamps[-1]
 
-    def insert(self, sp: StampedPose) -> None:
+    def insert(self, t: float, pose: Pose2D) -> None:
         """Append a pose; stamps must be strictly increasing.
 
         Raises:
-            NonMonotonicTime: if sp.t <= the newest stored stamp.
+            NonMonotonicTime: if t <= the newest stored stamp.
         """
         stamps = self._stamps
-        if stamps and sp.t <= stamps[-1]:
-            raise NonMonotonicTime(f"stamp {sp.t!r} is not after newest {stamps[-1]!r}")
-        stamps.append(sp.t)
-        self._entries.append(sp)
-        cutoff = sp.t - self.horizon
-        head = self._head
-        while stamps[head] < cutoff:
-            head += 1
-        if 2 * head > len(stamps):
-            del stamps[:head]
-            del self._entries[:head]
-            head = 0
-        self._head = head
+        if stamps and t <= stamps[-1]:
+            raise NonMonotonicTime(f"stamp {t!r} is not after newest {stamps[-1]!r}")
+        stamps.append(t)
+        self._poses.append(pose)
 
     def pose_at(self, t: float) -> Pose2D:
         """Interpolated pose at time t.
@@ -94,38 +80,36 @@ class PoseBuffer:
         arc.  Lookups at stored stamps return the stored pose exactly.
 
         Raises:
-            OutOfRange: if t falls outside [oldest.t, newest.t] or the
-                buffer is empty.
+            OutOfRange: if t falls outside `span()` or the buffer is empty.
         """
         stamps = self._stamps
         if not stamps:
             raise OutOfRange("buffer is empty")
-        first = stamps[self._head]
-        last = stamps[-1]
-        if t < first or t > last:
+        # lo is the newest entry at or before t; t is in the span exactly
+        # when that entry is inside the horizon
+        lo = bisect_right(stamps, t) - 1
+        if lo < 0 or stamps[lo] < stamps[-1] - self.horizon or t > stamps[-1]:
+            first, last = self.span()
             raise OutOfRange(f"t={t!r} outside buffered span [{first!r}, {last!r}]")
-        # a bracketing pair: lo is the newest entry at or before t, hi the
-        # one after it (lo, hi are the last pair when t is the newest stamp)
-        hi = min(bisect_right(stamps, t, self._head), len(stamps) - 1)
-        lo = max(hi - 1, self._head)
-        entries = self._entries
-        a = entries[lo]
-        if t == a.t:
-            return a.pose
-        b = entries[hi]
-        if t == b.t:
-            return b.pose
-        frac = (t - a.t) / (b.t - a.t)
-        dtheta = wrap_angle(b.pose.theta - a.pose.theta)
+        poses = self._poses
+        ta = stamps[lo]
+        a = poses[lo]
+        if t == ta:
+            return a
+        tb = stamps[lo + 1]
+        b = poses[lo + 1]
+        frac = (t - ta) / (tb - ta)
+        dtheta = wrap_angle(b.theta - a.theta)
         return Pose2D(
-            a.pose.x + frac * (b.pose.x - a.pose.x),
-            a.pose.y + frac * (b.pose.y - a.pose.y),
-            a.pose.theta + frac * dtheta,
+            a.x + frac * (b.x - a.x),
+            a.y + frac * (b.y - a.y),
+            a.theta + frac * dtheta,
         )
 
 
-def write_trajectory(poses: Iterable[StampedPose], path: str) -> None:
-    """Dump a trajectory, one `t x y theta` line per stamped pose."""
+def write_trajectory(poses: Iterable[tuple[float, Pose2D]], path: str) -> None:
+    """Dump a trajectory, one `t x y theta` line per `(t, pose)` pair, in
+    one write."""
+    text = "".join([f"{t!r} {p.x!r} {p.y!r} {p.theta!r}\n" for t, p in poses])
     with open(path, "w", encoding="ascii") as f:
-        for sp in poses:
-            f.write(f"{sp.t!r} {sp.pose.x!r} {sp.pose.y!r} {sp.pose.theta!r}\n")
+        f.write(text)

@@ -25,7 +25,6 @@ from .geometry import (
     GroundPoint,
     Pose2D,
     ground_point_to_pixel,
-    wrap_angle,
 )
 from .clusterfilter import RawDetection
 
@@ -38,6 +37,9 @@ PHANTOM_MAX_HALF = 24.0
 # 1024 cast a default sweep in about 1.3 ms against 1.7 ms, but their
 # temporaries raise peak RSS over 32 default missions by about 0.3 MB.
 SCAN_BLOCK = 256
+# an item at least this far times max(1, range) inside every arena wall is
+# never occluded by the wall, so `detect` casts no ray for it (meters)
+WALL_MARGIN = 1e-6
 
 
 class LayoutError(ValueError):
@@ -180,25 +182,27 @@ class DelayQueue:
     the detector pipeline latency between frame capture and delivery.
 
     Items may be pushed out of ready-time order; `pop_ready` releases every
-    ready item in push order.  The queue keeps its earliest ready time, so
-    a call before it returns at once without touching the list.
+    ready item in push order.  `earliest` is the earliest ready time of a
+    held item (inf when empty), so a caller can tell that `pop_ready(now)`
+    would return nothing while `now < earliest`, and a call before it
+    returns at once without touching the list.
     """
 
     def __init__(self) -> None:
         self._items: list[tuple[float, object]] = []
-        self._earliest = math.inf
+        self.earliest = math.inf
 
     def push(self, ready_t: float, item: object) -> None:
         self._items.append((ready_t, item))
-        if ready_t < self._earliest:
-            self._earliest = ready_t
+        if ready_t < self.earliest:
+            self.earliest = ready_t
 
     def pop_ready(self, now: float) -> list[object]:
-        if now < self._earliest:
+        if now < self.earliest:
             return []
         out = [item for ready, item in self._items if ready <= now]
         self._items = [(ready, item) for ready, item in self._items if ready > now]
-        self._earliest = min((ready for ready, _ in self._items), default=math.inf)
+        self.earliest = min((ready for ready, _ in self._items), default=math.inf)
         return out
 
 
@@ -295,6 +299,7 @@ class World:
         # the layout is fixed from here on: obstacle bounds for the per-tick
         # contact test, and slab bounds of the arena (box 0) and every
         # obstacle for the ray cast, indexed [low/high side, x/y axis, box, 1]
+        self._arena_bounds = (self.arena.x0, self.arena.y0, self.arena.x1, self.arena.y1)
         self._obstacle_bounds = tuple((ob.x0, ob.y0, ob.x1, ob.y1) for ob in obstacles)
         boxes = (self.arena, *obstacles)
         self._slabs = np.array(
@@ -336,8 +341,8 @@ class World:
     def _collides(self, x: float, y: float) -> bool:
         """Outside the closed arena or inside a closed obstacle rectangle,
         with the comparisons of `Rect.contains`."""
-        arena = self.arena
-        if not (arena.x0 <= x <= arena.x1 and arena.y0 <= y <= arena.y1):
+        ax0, ay0, ax1, ay1 = self._arena_bounds
+        if not (ax0 <= x <= ax1 and ay0 <= y <= ay1):
             return True
         for x0, y0, x1, y1 in self._obstacle_bounds:
             if x0 <= x <= x1 and y0 <= y <= y1:
@@ -348,40 +353,30 @@ class World:
         """Advance one tick of cfg.dt under a MotionCommand-like object.
 
         True pose: exact unicycle integration, stopped at obstacle contact
-        by bisecting the tick down to the contact fraction.  The bisection
-        probes step with `_unicycle` on plain floats, as `_advance` does,
-        so they land on the same bits without a Pose2D per probe.  Believed
-        pose: same integrator over the noisy, biased command, scaled by the
-        same contact fraction (stalled wheels do not advance odometry).
-        A `pinned` tick ends with the believed pose on the true one, as
-        `sync_believed` leaves it, and integrates no odometry; it still
-        draws the odometry noise, so the generator stream is the same as
-        for an unpinned tick.  With the mechanism on, any uncollected
-        trash within brush_halfwidth of the segment the base swept this
-        tick is collected.
+        by bisecting the tick down to the contact fraction in
+        `_contact_frac`, on plain floats.  Believed pose: same integrator
+        over the noisy, biased command, scaled by the same contact
+        fraction (stalled wheels do not advance odometry).  Each pose is
+        stepped with `_unicycle` and built once.  A `pinned` tick ends
+        with the believed pose on the true one, as `sync_believed` leaves
+        it, and integrates no odometry; it still draws the odometry noise,
+        so the generator stream is the same as for an unpinned tick.  With
+        the mechanism on, any uncollected trash within brush_halfwidth of
+        the segment the base swept this tick is collected.
         """
         dt = self.cfg.dt
         v = cmd.v
         omega = cmd.omega
-        old = self.robot.true_pose
+        robot = self.robot
+        old = robot.true_pose
+        ox, oy, th = old.x, old.y, old.theta
+        x, y, th1 = _unicycle(ox, oy, th, v, omega, dt)
         frac = 1.0
-        nxt = _advance(old, v, omega, dt)
-        self.last_contact = False
-        if self._collides(nxt.x, nxt.y):
-            self.last_contact = True
-            ox, oy, th = old.x, old.y, old.theta
-            collides = self._collides
-            lo, hi = 0.0, 1.0
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                px, py, _ = _unicycle(ox, oy, th, v, omega, mid * dt)
-                if collides(px, py):
-                    hi = mid
-                else:
-                    lo = mid
-            frac = lo
-            nxt = _advance(old, v, omega, frac * dt)
-        self.robot.true_pose = nxt
+        self.last_contact = self._collides(x, y)
+        if self.last_contact:
+            frac = self._contact_frac(ox, oy, th, v, omega, dt)
+            x, y, th1 = _unicycle(ox, oy, th, v, omega, frac * dt)
+        robot.true_pose = Pose2D(x, y, th1)
 
         nz = self.noise
         moving = abs(v) > 1e-12 or abs(omega) > 1e-12
@@ -395,20 +390,60 @@ class World:
             bv += 0.0 + sigma * normal()
             bo += 0.0 + sigma * normal()
         if pinned:
-            self.sync_believed()
+            robot.believed_pose = robot.true_pose
         else:
-            self.robot.believed_pose = _advance(
-                self.robot.believed_pose, bv * frac, bo * frac, dt
-            )
+            b = robot.believed_pose
+            robot.believed_pose = Pose2D(*_unicycle(b.x, b.y, b.theta, bv * frac, bo * frac, dt))
 
-        if getattr(cmd, "mechanism_on", False):
+        if cmd.mechanism_on:
             for item in self.trash:
                 if item.collected:
                     continue
-                d = _seg_dist(item.position.x, item.position.y, old.x, old.y, nxt.x, nxt.y)
+                d = _seg_dist(item.position.x, item.position.y, ox, oy, x, y)
                 if d <= self.brush_halfwidth:
                     item.collected = True
         self.t += dt
+
+    def _contact_frac(
+        self, x: float, y: float, theta: float, v: float, omega: float, dt: float
+    ) -> float:
+        """The largest fraction of a tick, to 40 halvings, whose end pose
+        does not collide, for a tick whose full step does.
+
+        Each probe steps `_unicycle` at `mid * dt` with the heading's cos
+        and sin (straight move) or v / omega, sin(theta) and cos(theta)
+        (arc) taken once, and tests the arena and the obstacles inline as
+        `_collides` does.  Every probe keeps `_unicycle`'s float
+        operations in their order, so it lands on the same bits, and so
+        does the fraction.
+        """
+        ax0, ay0, ax1, ay1 = self._arena_bounds
+        obstacles = self._obstacle_bounds
+        straight = abs(omega) < 1e-9
+        r = 0.0 if straight else v / omega
+        c = math.cos(theta)
+        s = math.sin(theta)
+        lo, hi = 0.0, 1.0
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            h = mid * dt
+            if straight:
+                px = x + v * h * c
+                py = y + v * h * s
+            else:
+                th1 = theta + omega * h
+                px = x + r * (math.sin(th1) - s)
+                py = y - r * (math.cos(th1) - c)
+            if not (ax0 <= px <= ax1 and ay0 <= py <= ay1):
+                hi = mid
+                continue
+            for x0, y0, x1, y1 in obstacles:
+                if x0 <= px <= x1 and y0 <= py <= y1:
+                    hi = mid
+                    break
+            else:
+                lo = mid
+        return lo
 
     def sync_believed(self) -> None:
         """Snap the believed pose onto ground truth (a localization refresh)."""
@@ -499,43 +534,59 @@ class World:
         The occlusion rays of all in-frustum items are cast together in
         one `_ray_ranges` call; the items are then visited in trash order,
         so the generator is drawn in the same order as item by item.
+
+        With no obstacles the cast is skipped when every in-frustum item
+        lies at least WALL_MARGIN * max(1, range) inside the arena: the
+        cast's wall exit along the ray is then past the item however the
+        ray's direction rounds, so the wall hides nothing.  An item on a
+        wall still needs the cast, because a direction component clamped
+        to 1e-12 can put the computed exit before it.
         """
         nz = self.noise
+        rng = self.rng
         pose = self.robot.true_pose
         cam_x = pose.x + math.cos(pose.theta) * cam.forward_offset
         cam_y = pose.y + math.sin(pose.theta) * cam.forward_offset
-        seen: list[tuple[float, tuple[float, float, float]]] = []
-        angles: list[float] = []
+        x0, y0, x1, y1 = self._arena_bounds
+        cast = bool(self._obstacle_bounds)
+        seen: list[tuple[float, tuple[float, float, float], GroundPoint]] = []
         for item in self.trash:
             if item.collected:
                 continue
-            gr = math.hypot(item.position.x - cam_x, item.position.y - cam_y)
+            p = item.position
+            gr = math.hypot(p.x - cam_x, p.y - cam_y)
             if gr > detect_max_range or gr < 1e-6:
                 continue
-            pix = ground_point_to_pixel(pose, item.position, cam)
+            pix = ground_point_to_pixel(pose, p, cam)
             if pix is None:
                 continue
-            seen.append((gr, pix))
-            angles.append(math.atan2(item.position.y - cam_y, item.position.x - cam_x))
+            seen.append((gr, pix, p))
+            m = WALL_MARGIN * max(1.0, gr)
+            if not (x0 + m <= p.x <= x1 - m and y0 + m <= p.y <= y1 - m):
+                cast = True
         out: list[BoundingBox] = []
         if seen:
-            hits = self._ray_ranges(cam_x, cam_y, np.array(angles)).tolist()
-            for (gr, pix), hit in zip(seen, hits):
-                if hit < gr - 1e-9:
+            if cast:
+                angles = [math.atan2(p.y - cam_y, p.x - cam_x) for _, _, p in seen]
+                hits = self._ray_ranges(cam_x, cam_y, np.array(angles)).tolist()
+            for k, (gr, pix, _) in enumerate(seen):
+                if cast and hits[k] < gr - 1e-9:
                     continue  # occluded
-                if self.rng.uniform() >= nz.p_detect(gr):
+                # random() is the draw uniform() makes, at about a third
+                # of its cost
+                if rng.random() >= nz.p_detect(gr):
                     continue
                 box = self._render_box(pix, gr, cam)
                 if box is not None:
                     out.append(box)
         if nz.false_positive_rate > 0.0 and frame_dt > 0.0:
-            k = int(self.rng.poisson(nz.false_positive_rate * frame_dt))
+            k = int(rng.poisson(nz.false_positive_rate * frame_dt))
             for _ in range(k):
-                half = self.rng.uniform(4.0, PHANTOM_MAX_HALF)
-                u = self.rng.uniform(half, cam.image_width - half)
-                v = self.rng.uniform(0.5 * cam.image_height, cam.image_height - half)
-                depth = self.rng.uniform(cam.mount_height + 0.1, detect_max_range)
-                conf = self.rng.uniform()
+                half = rng.uniform(4.0, PHANTOM_MAX_HALF)
+                u = rng.uniform(half, cam.image_width - half)
+                v = rng.uniform(0.5 * cam.image_height, cam.image_height - half)
+                depth = rng.uniform(cam.mount_height + 0.1, detect_max_range)
+                conf = rng.random()
                 out.append(
                     BoundingBox(u - half, u + half, v - half, v + half, depth, conf)
                 )
@@ -583,11 +634,6 @@ def _unicycle(
         y - r * (math.cos(th1) - math.cos(theta)),
         th1,
     )
-
-
-def _advance(pose: Pose2D, v: float, omega: float, dt: float) -> Pose2D:
-    """`_unicycle` from a pose to a pose."""
-    return Pose2D(*_unicycle(pose.x, pose.y, pose.theta, v, omega, dt))
 
 
 def _seg_dist(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> float:

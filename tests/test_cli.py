@@ -154,6 +154,20 @@ def test_negative_seed_exits_1(tmp_path, capsys):
     ] * 2 + ["config error: seed must be non-negative, got -1"]
 
 
+def test_negative_seed_range_exits_1(capsys):
+    # a seed list that starts with a minus reaches the seed check as a
+    # separate argument too, not an argparse usage error with exit 2
+    assert main(["batch", "--seeds", "-1..0"]) == 1
+    assert main(["batch", "--seeds", "-3,1", "--sweep", "world.trash_count=1"]) == 1
+    assert main(["batch", "--seeds", "-2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "config error: seed must be non-negative, got -1",
+        "config error: seed must be non-negative, got -3",
+        "config error: seed must be non-negative, got -2",
+    ]
+
+
 def test_batch_rejects_sweeping_the_seed(tmp_path, capsys):
     # --seeds would override the swept seed on every row
     cfg = tmp_path / "trial.cfg"

@@ -255,6 +255,33 @@ def test_pickup_align_tolerance_must_be_positive(value):
     assert build_config({"pickup.align_tolerance": ["1e-6"]}).pickup.align_tolerance == 1e-6
 
 
+@pytest.mark.parametrize(
+    "overrides, count",
+    [
+        ({"mission.map_resolution": ["0.001"]}, "48000000"),
+        # one cell more than the cap: 2048 x 2049
+        ({"world.arena_w": ["2048"], "world.arena_h": ["2048.5"],
+          "mission.map_resolution": ["1"], "mission.max_time": ["1e9"]}, "4196352"),
+        ({"mission.map_resolution": ["1e-300"]}, "over 10\\*\\*15"),
+    ],
+    ids=["fine", "cap+1", "vanishing"],
+)
+def test_map_resolution_over_the_cell_cap_is_a_config_error(overrides, count):
+    # the config rejects the grid before anything allocates it; no grid is
+    # built here
+    with pytest.raises(
+        ConfigError,
+        match=rf"^mission.map_resolution: .* m needs {count} grid cells over the arena; "
+        rf"at most {config.MAX_GRID_CELLS} are allowed$",
+    ):
+        build_config(overrides)
+    at_cap = {"world.arena_w": ["2048"], "world.arena_h": ["2048"],
+              "mission.map_resolution": ["1"], "mission.max_time": ["1e9"]}
+    assert build_config(at_cap).grid_shape == (2048, 2048)
+    assert config.MAX_GRID_CELLS == 2048 * 2048
+    assert build_config({}).grid_shape == (160, 120)
+
+
 def _dataclass_default(key: str):
     """The default of the field that `section.name` names: a field of the
     section's dataclass, or of WorldConfig's start pose for world.start_*."""

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from littersim.geometry import Pose2D, wrap_angle
-from littersim.posebuffer import NonMonotonicTime, OutOfRange, PoseBuffer, StampedPose, write_trajectory
+from littersim.posebuffer import NonMonotonicTime, OutOfRange, PoseBuffer, write_trajectory
 
 
 def _filled():
     buf = PoseBuffer()
-    buf.insert(StampedPose(0.0, Pose2D(0.0, 0.0, 0.0)))
-    buf.insert(StampedPose(1.0, Pose2D(2.0, 0.0, 0.5)))
-    buf.insert(StampedPose(3.0, Pose2D(2.0, 4.0, -0.5)))
+    buf.insert(0.0, Pose2D(0.0, 0.0, 0.0))
+    buf.insert(1.0, Pose2D(2.0, 0.0, 0.5))
+    buf.insert(3.0, Pose2D(2.0, 4.0, -0.5))
     return buf
 
 
@@ -34,8 +34,8 @@ def test_linear_interpolation_between_stamps():
 
 def test_theta_interpolates_across_the_wrap():
     buf = PoseBuffer()
-    buf.insert(StampedPose(0.0, Pose2D(0.0, 0.0, math.pi - 0.1)))
-    buf.insert(StampedPose(1.0, Pose2D(0.0, 0.0, -math.pi + 0.1)))
+    buf.insert(0.0, Pose2D(0.0, 0.0, math.pi - 0.1))
+    buf.insert(1.0, Pose2D(0.0, 0.0, -math.pi + 0.1))
     mid = buf.pose_at(0.5)
     # shortest arc passes through pi, not through zero
     assert abs(abs(mid.theta) - math.pi) < 1e-9
@@ -54,21 +54,24 @@ def test_out_of_range_and_empty():
 def test_insert_requires_increasing_stamps():
     buf = _filled()
     with pytest.raises(NonMonotonicTime):
-        buf.insert(StampedPose(3.0, Pose2D(0, 0, 0)))
+        buf.insert(3.0, Pose2D(0, 0, 0))
     with pytest.raises(NonMonotonicTime):
-        buf.insert(StampedPose(2.5, Pose2D(0, 0, 0)))
+        buf.insert(2.5, Pose2D(0, 0, 0))
 
 
 def test_horizon_eviction():
     buf = PoseBuffer(horizon=10.0)
     for k in range(41):
-        buf.insert(StampedPose(0.5 * k, Pose2D(float(k), 0.0, 0.0)))
+        buf.insert(0.5 * k, Pose2D(float(k), 0.0, 0.0))
     lo, hi = buf.span()
     assert hi == 20.0
     assert lo >= hi - 10.0
     with pytest.raises(OutOfRange):
         buf.pose_at(5.0)
     assert buf.pose_at(lo) is not None
+    # the store keeps every pose; only lookups end at the horizon
+    assert len(buf) == 41
+    assert list(buf)[0] == (0.0, Pose2D(0.0, 0.0, 0.0))
 
 
 def test_write_trajectory_format(tmp_path):
@@ -82,47 +85,48 @@ def test_write_trajectory_format(tmp_path):
 
 
 class DequePoseBuffer:
-    """Reference: a deque evicted from the left, searched by index."""
+    """Reference: a deque of (t, pose) pairs evicted from the left on
+    every insert, searched by index."""
 
     def __init__(self, horizon):
         self.horizon = horizon
         self._entries = deque()
 
-    def insert(self, sp):
-        if self._entries and sp.t <= self._entries[-1].t:
+    def insert(self, t, pose):
+        if self._entries and t <= self._entries[-1][0]:
             raise NonMonotonicTime("not increasing")
-        self._entries.append(sp)
-        cutoff = sp.t - self.horizon
-        while self._entries[0].t < cutoff:
+        self._entries.append((t, pose))
+        cutoff = t - self.horizon
+        while self._entries[0][0] < cutoff:
             self._entries.popleft()
 
     def pose_at(self, t):
         if not self._entries:
             raise OutOfRange("buffer is empty")
-        first = self._entries[0]
-        last = self._entries[-1]
-        if t < first.t or t > last.t:
+        first = self._entries[0][0]
+        last = self._entries[-1][0]
+        if t < first or t > last:
             raise OutOfRange("outside the span")
         entries = self._entries
         lo, hi = 0, len(entries) - 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if entries[mid].t <= t:
+            if entries[mid][0] <= t:
                 lo = mid
             else:
                 hi = mid
-        a = entries[lo]
-        if t == a.t:
-            return a.pose
-        b = entries[hi]
-        if t == b.t:
-            return b.pose
-        frac = (t - a.t) / (b.t - a.t)
-        dtheta = wrap_angle(b.pose.theta - a.pose.theta)
+        ta, a = entries[lo]
+        if t == ta:
+            return a
+        tb, b = entries[hi]
+        if t == tb:
+            return b
+        frac = (t - ta) / (tb - ta)
+        dtheta = wrap_angle(b.theta - a.theta)
         return Pose2D(
-            a.pose.x + frac * (b.pose.x - a.pose.x),
-            a.pose.y + frac * (b.pose.y - a.pose.y),
-            a.pose.theta + frac * dtheta,
+            a.x + frac * (b.x - a.x),
+            a.y + frac * (b.y - a.y),
+            a.theta + frac * dtheta,
         )
 
 
@@ -134,10 +138,18 @@ def _lookup(buf, t):
     return (repr(pose.x), repr(pose.y), repr(pose.theta))
 
 
-_STEPS = st.one_of(st.sampled_from([0.05, 1e-9, 7.0]), st.floats(1e-6, 5.0))
+# binary fractions sum exactly, so some stamp lands exactly on the horizon
+# edge `newest - horizon`; the others land anywhere
+_STEPS = st.one_of(
+    st.sampled_from([0.05, 1e-9, 7.0, 0.25, 0.5, 1.0, 2.0]), st.floats(1e-6, 5.0)
+)
 _POSES = st.builds(
     Pose2D, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(-4.0, 4.0)
 )
+
+
+def _around(t):
+    return [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -147,21 +159,43 @@ _POSES = st.builds(
     st.lists(st.floats(0.0, 1.0), max_size=6),
 )
 def test_pose_at_equals_the_deque_buffer(horizon, inserts, probes):
+    # the one store keeps every pose and ends lookups at the horizon when
+    # asked; a buffer that evicts on every insert answers the same
     got = PoseBuffer(horizon)
     want = DequePoseBuffer(horizon)
+    kept = []
     t = 0.0
     for step, pose in inserts:
         t += step
-        got.insert(StampedPose(t, pose))
-        want.insert(StampedPose(t, pose))
-        assert list(got) == list(want._entries)
-        assert len(got) == len(want._entries)
-        assert got.span() == (want._entries[0].t, want._entries[-1].t)
-        stamps = [sp.t for sp in want._entries]
+        got.insert(t, pose)
+        want.insert(t, pose)
+        kept.append((t, pose))
+        assert list(got) == kept
+        assert len(got) == len(kept)
+        assert got.span() == (want._entries[0][0], want._entries[-1][0])
+        stamps = [st for st, _ in want._entries]
         lo, hi = stamps[0], stamps[-1]
-        queries = [lo, hi, stamps[len(stamps) // 2], lo - 1e-9, hi + 1e-9, lo - horizon]
+        # both sides of the live span, the horizon edge and the stamp just
+        # evicted, each exactly and one ulp either way
+        queries = [stamps[len(stamps) // 2], lo - 1e-9, hi + 1e-9, lo - horizon]
+        queries += _around(lo) + _around(hi) + _around(t - horizon)
+        if len(kept) > len(stamps):
+            queries += _around(kept[-len(stamps) - 1][0])
         queries += [lo + f * (hi - lo) for f in probes]
         for q in queries:
             assert _lookup(got, q) == _lookup(want, q)
     with pytest.raises(NonMonotonicTime):
-        got.insert(StampedPose(t, Pose2D(0.0, 0.0)))
+        got.insert(t, Pose2D(0.0, 0.0))
+
+
+def test_a_stamp_exactly_on_the_horizon_edge_stays_in_range():
+    buf = PoseBuffer(horizon=1.0)
+    for k in range(5):
+        buf.insert(0.5 * k, Pose2D(float(k), 0.0))
+    # newest 2.0: the stamp at exactly 1.0 is the oldest one still served
+    assert buf.span() == (1.0, 2.0)
+    assert buf.pose_at(1.0) == Pose2D(2.0, 0.0)
+    with pytest.raises(OutOfRange):
+        buf.pose_at(math.nextafter(1.0, 0.0))
+    with pytest.raises(OutOfRange):
+        buf.pose_at(math.nextafter(2.0, 3.0))
