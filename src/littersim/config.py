@@ -104,17 +104,18 @@ class MissionConfig:
                         f"mission.{name}: {motion} takes {need:g} s, longer than "
                         f"mission.max_time {self.max_time!r}"
                     )
-        # checked before any grid is allocated; a side too large for a
-        # float stays infinite
-        cols = _ceil(self.world.arena_w / self.map_resolution)
-        rows = _ceil(self.world.arena_h / self.map_resolution)
-        cells = cols * rows
-        if cells > MAX_GRID_CELLS:
-            count = f"{cells}" if cells < 10**15 else "over 10**15"
-            raise ConfigError(
-                f"mission.map_resolution: {self.map_resolution!r} m needs {count} grid "
-                f"cells over the arena; at most {MAX_GRID_CELLS} are allowed"
-            )
+        # checked before any grid is allocated; each side is checked first,
+        # so grid_shape never rounds up an infinite ratio
+        too_fine = f"mission.map_resolution: {self.map_resolution!r} m needs"
+        limit = f"at most {MAX_GRID_CELLS} are allowed"
+        for side in (self.world.arena_w, self.world.arena_h):
+            if not side / self.map_resolution <= MAX_GRID_CELLS:
+                raise ConfigError(
+                    f"{too_fine} over {MAX_GRID_CELLS} grid cells along a side; {limit}"
+                )
+        cols, rows = self.grid_shape
+        if cols * rows > MAX_GRID_CELLS:
+            raise ConfigError(f"{too_fine} {cols * rows} grid cells over the arena; {limit}")
         if self.inflate_radius < 0.0:
             raise ConfigError("mission.inflate_radius: must be non-negative")
         if self.n_beams < 2:
@@ -163,11 +164,6 @@ class MissionConfig:
             math.ceil(self.world.arena_w / self.map_resolution),
             math.ceil(self.world.arena_h / self.map_resolution),
         )
-
-
-def _ceil(x: float) -> float:
-    """math.ceil where it is defined, x itself at infinity."""
-    return math.ceil(x) if math.isfinite(x) else x
 
 
 def _cast_float(text: str) -> float:

@@ -11,9 +11,9 @@ episode; an episode that fails to lock within the timeout gives up.
 
 `step` is pure: it takes a state and returns a new state plus the motion
 command for this tick, which keeps episodes replayable.  A command that
-repeats for a whole phase is built once and reused: the spin-search
-command lives in the state, the drive-through command on the config.
-Commands are immutable, so sharing one changes nothing a caller can see.
+repeats for a whole phase (spin-search left or right, drive-through) is
+built once per config and reused.  Commands are immutable, so sharing one
+changes nothing a caller can see.
 """
 
 from __future__ import annotations
@@ -84,10 +84,18 @@ class PickupConfig:
             # ALIGN could never finish, so every episode would time out
             raise ValueError(f"align_tolerance must be positive, got {self.align_tolerance!r}")
 
+    # the commands that repeat for a whole phase, built on first use
     @cached_property
     def drive_command(self) -> MotionCommand:
-        """The drive-through command, built on first use."""
         return MotionCommand(self.drive_speed, 0.0, mechanism_on=True)
+
+    @cached_property
+    def spin_left(self) -> MotionCommand:
+        return MotionCommand(0.0, self.spin_rate)
+
+    @cached_property
+    def spin_right(self) -> MotionCommand:
+        return MotionCommand(0.0, -self.spin_rate)
 
 
 @dataclass(frozen=True)
@@ -110,27 +118,22 @@ def turn_toward(err: float, rate: float, dt: float) -> float:
 
 @dataclass(frozen=True)
 class PickupState:
-    """FSM snapshot.  spin is the spin-search command, (0, +-spin_rate).
-    locked_target/drive_goal/axis are set together on lock and never
-    change afterwards; axis is the unit approach direction used for the
-    drive-past test."""
+    """FSM snapshot.  locked_target/drive_goal/axis are set together on lock
+    and never change afterwards; axis is the unit approach direction used
+    for the drive-past test."""
 
     phase: PickupPhase
     expected: GroundPoint
-    spin: MotionCommand
+    spin_omega: float
     elapsed: float = 0.0
     locked_target: GroundPoint | None = None
     drive_goal: GroundPoint | None = None
     axis: tuple[float, float] | None = None
 
-    @property
-    def spin_omega(self) -> float:
-        return self.spin.omega
-
     def _next(self, phase: PickupPhase, elapsed: float) -> PickupState:
         """This state in another phase or at another elapsed time."""
         return PickupState(
-            phase, self.expected, self.spin, elapsed,
+            phase, self.expected, self.spin_omega, elapsed,
             self.locked_target, self.drive_goal, self.axis,
         )
 
@@ -156,7 +159,7 @@ def start_pickup(
         raise TooFar(f"expected trash {d:.2f} m away, activation radius is {ACTIVATION_RADIUS} m")
     side = left_or_right(robot, expected)
     omega = cfg.spin_rate if side in (Side.LEFT, Side.AHEAD) else -cfg.spin_rate
-    state = PickupState(PickupPhase.SPIN_SEARCH, expected, MotionCommand(0.0, omega))
+    state = PickupState(PickupPhase.SPIN_SEARCH, expected, omega)
     if not cfg.reidentify:
         state = _lock(state, robot, expected, cfg)
     return state
@@ -174,7 +177,7 @@ def _lock(state: PickupState, robot: Pose2D, target: GroundPoint, cfg: PickupCon
     return PickupState(
         PickupPhase.ALIGN,
         state.expected,
-        state.spin,
+        state.spin_omega,
         state.elapsed,
         target,
         GroundPoint(target.x + cfg.overshoot * ux, target.y + cfg.overshoot * uy),
@@ -207,7 +210,8 @@ def step(
         elapsed = state.elapsed + dt
         if elapsed > cfg.timeout:
             return state._next(PickupPhase.TIMED_OUT, elapsed), STOP
-        return state._next(phase, elapsed), state.spin
+        spin = cfg.spin_left if state.spin_omega > 0.0 else cfg.spin_right
+        return state._next(phase, elapsed), spin
 
     if phase is PickupPhase.ALIGN:
         assert state.drive_goal is not None

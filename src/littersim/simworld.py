@@ -183,9 +183,9 @@ class DelayQueue:
 
     Items may be pushed out of ready-time order; `pop_ready` releases every
     ready item in push order.  `earliest` is the earliest ready time of a
-    held item (inf when empty), so a caller can tell that `pop_ready(now)`
-    would return nothing while `now < earliest`, and a call before it
-    returns at once without touching the list.
+    held item (inf when empty): nothing is ready while `now < earliest`,
+    so a caller that polls every tick compares first and calls
+    `pop_ready` only once something is due.
     """
 
     def __init__(self) -> None:
@@ -198,8 +198,6 @@ class DelayQueue:
             self.earliest = ready_t
 
     def pop_ready(self, now: float) -> list[object]:
-        if now < self.earliest:
-            return []
         out = [item for ready, item in self._items if ready <= now]
         self._items = [(ready, item) for ready, item in self._items if ready > now]
         self.earliest = min((ready for ready, _ in self._items), default=math.inf)
@@ -353,16 +351,18 @@ class World:
         """Advance one tick of cfg.dt under a MotionCommand-like object.
 
         True pose: exact unicycle integration, stopped at obstacle contact
-        by bisecting the tick down to the contact fraction in
-        `_contact_frac`, on plain floats.  Believed pose: same integrator
-        over the noisy, biased command, scaled by the same contact
-        fraction (stalled wheels do not advance odometry).  Each pose is
-        stepped with `_unicycle` and built once.  A `pinned` tick ends
-        with the believed pose on the true one, as `sync_believed` leaves
-        it, and integrates no odometry; it still draws the odometry noise,
-        so the generator stream is the same as for an unpinned tick.  With
-        the mechanism on, any uncollected trash within brush_halfwidth of
-        the segment the base swept this tick is collected.
+        by bisecting the tick down to the contact fraction.  The bisection
+        probes step with `_unicycle` on plain floats, so they land on the
+        same bits as the tick's own step without a Pose2D per probe.
+        Believed pose: same integrator over the noisy, biased command,
+        scaled by the same contact fraction (stalled wheels do not advance
+        odometry).  Each pose is stepped with `_unicycle` and built once.
+        A `pinned` tick ends with the believed pose on the true one, as
+        `sync_believed` leaves it, and integrates no odometry; it still
+        draws the odometry noise, so the generator stream is the same as
+        for an unpinned tick.  With the mechanism on, any uncollected trash
+        within brush_halfwidth of the segment the base swept this tick is
+        collected.
         """
         dt = self.cfg.dt
         v = cmd.v
@@ -372,9 +372,18 @@ class World:
         ox, oy, th = old.x, old.y, old.theta
         x, y, th1 = _unicycle(ox, oy, th, v, omega, dt)
         frac = 1.0
-        self.last_contact = self._collides(x, y)
+        collides = self._collides
+        self.last_contact = collides(x, y)
         if self.last_contact:
-            frac = self._contact_frac(ox, oy, th, v, omega, dt)
+            lo, hi = 0.0, 1.0
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                px, py, _ = _unicycle(ox, oy, th, v, omega, mid * dt)
+                if collides(px, py):
+                    hi = mid
+                else:
+                    lo = mid
+            frac = lo
             x, y, th1 = _unicycle(ox, oy, th, v, omega, frac * dt)
         robot.true_pose = Pose2D(x, y, th1)
 
@@ -403,47 +412,6 @@ class World:
                 if d <= self.brush_halfwidth:
                     item.collected = True
         self.t += dt
-
-    def _contact_frac(
-        self, x: float, y: float, theta: float, v: float, omega: float, dt: float
-    ) -> float:
-        """The largest fraction of a tick, to 40 halvings, whose end pose
-        does not collide, for a tick whose full step does.
-
-        Each probe steps `_unicycle` at `mid * dt` with the heading's cos
-        and sin (straight move) or v / omega, sin(theta) and cos(theta)
-        (arc) taken once, and tests the arena and the obstacles inline as
-        `_collides` does.  Every probe keeps `_unicycle`'s float
-        operations in their order, so it lands on the same bits, and so
-        does the fraction.
-        """
-        ax0, ay0, ax1, ay1 = self._arena_bounds
-        obstacles = self._obstacle_bounds
-        straight = abs(omega) < 1e-9
-        r = 0.0 if straight else v / omega
-        c = math.cos(theta)
-        s = math.sin(theta)
-        lo, hi = 0.0, 1.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            h = mid * dt
-            if straight:
-                px = x + v * h * c
-                py = y + v * h * s
-            else:
-                th1 = theta + omega * h
-                px = x + r * (math.sin(th1) - s)
-                py = y - r * (math.cos(th1) - c)
-            if not (ax0 <= px <= ax1 and ay0 <= py <= ay1):
-                hi = mid
-                continue
-            for x0, y0, x1, y1 in obstacles:
-                if x0 <= px <= x1 and y0 <= py <= y1:
-                    hi = mid
-                    break
-            else:
-                lo = mid
-        return lo
 
     def sync_believed(self) -> None:
         """Snap the believed pose onto ground truth (a localization refresh)."""

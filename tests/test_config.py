@@ -258,11 +258,13 @@ def test_pickup_align_tolerance_must_be_positive(value):
 @pytest.mark.parametrize(
     "overrides, count",
     [
-        ({"mission.map_resolution": ["0.001"]}, "48000000"),
+        ({"mission.map_resolution": ["0.001"]}, "48000000 grid cells over the arena"),
         # one cell more than the cap: 2048 x 2049
         ({"world.arena_w": ["2048"], "world.arena_h": ["2048.5"],
-          "mission.map_resolution": ["1"], "mission.max_time": ["1e9"]}, "4196352"),
-        ({"mission.map_resolution": ["1e-300"]}, "over 10\\*\\*15"),
+          "mission.map_resolution": ["1"], "mission.max_time": ["1e9"]},
+         "4196352 grid cells over the arena"),
+        # a side alone over the cap; its ratio to the resolution is infinite
+        ({"mission.map_resolution": ["1e-300"]}, "over 4194304 grid cells along a side"),
     ],
     ids=["fine", "cap+1", "vanishing"],
 )
@@ -271,7 +273,7 @@ def test_map_resolution_over_the_cell_cap_is_a_config_error(overrides, count):
     # built here
     with pytest.raises(
         ConfigError,
-        match=rf"^mission.map_resolution: .* m needs {count} grid cells over the arena; "
+        match=rf"^mission.map_resolution: .* m needs {count}; "
         rf"at most {config.MAX_GRID_CELLS} are allowed$",
     ):
         build_config(overrides)

@@ -1,15 +1,14 @@
 """The per-tick simulation kernel against the straightforward versions it
 replaced.
 
-`World.step_world` bisects contacts on plain floats with the heading's
-trigonometry taken once, `World._ray_ranges` casts every ray against every
-obstacle in one broadcast, `World.detect` casts all occlusion rays of a
-frame at once, and none in an arena without obstacles, and draws with
-`random()`, and `DelayQueue.pop_ready` returns early before its earliest
-ready time.  Each must give bit-for-bit what the references below give: a
-Pose2D-building bisection through `_advance`, a bisection of `_unicycle`
-probes tested with `_collides`, a loop over obstacles, one occlusion ray
-per item, `uniform()` draws, and a list filtered on every call.
+`World.step_world` bisects contacts on plain floats, `World._ray_ranges`
+casts every ray against every obstacle in one broadcast, `World.detect`
+casts all occlusion rays of a frame at once, and none in an arena without
+obstacles, and draws with `random()`, and `DelayQueue` keeps the earliest
+ready time its callers compare against.  Each must give bit-for-bit what
+the references below give: a Pose2D-building bisection through
+`_advance`, a loop over obstacles, one occlusion ray per item, `uniform()`
+draws, and a list filtered on every call.
 """
 
 import math
@@ -17,7 +16,6 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -50,20 +48,6 @@ SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=
 def _advance(pose, v, omega, dt):
     """`_unicycle` from a pose to a pose."""
     return Pose2D(*_unicycle(pose.x, pose.y, pose.theta, v, omega, dt))
-
-
-def reference_contact_frac(world, x, y, theta, v, omega, dt):
-    """The contact bisection as a loop of `_unicycle` probes, each tested
-    with `World._collides`."""
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        px, py, _ = _unicycle(x, y, theta, v, omega, mid * dt)
-        if world._collides(px, py):
-            hi = mid
-        else:
-            lo = mid
-    return lo
 
 
 def loop_ray_ranges(world, ox, oy, angles):
@@ -454,90 +438,6 @@ def test_driving_into_a_box_and_a_wall_makes_contact():
         assert contacts > 0
 
 
-@st.composite
-def _contact_ticks(draw, target, reverse):
-    """A world and a command whose full tick from the start pose collides:
-    aimed, give or take 0.3 rad, at a point on an arena wall, on an
-    obstacle face or at an obstacle corner, or into a box whose face
-    passes exactly through a bisection probe; driving forward or in
-    reverse, on a straight line or an arc."""
-    if target == "probe":
-        start = Pose2D(draw(st.floats(2.5, 5.5)), draw(st.floats(2.5, 5.5)), draw(_BEARINGS))
-        speed = draw(st.floats(0.5, 2.0))
-        cmd = MotionCommand(-speed if reverse else speed, draw(_OMEGAS))
-        dt = draw(st.sampled_from([0.05, 0.2, 0.5]))
-        frac = draw(st.sampled_from([0.5, 0.25, 0.75]))
-        cfg, _ = _box_on_probe(start, cmd, dt, frac, draw(st.booleans()))
-        assume(not cfg.obstacles[0].contains(start.x, start.y))
-        return _colliding(World(cfg, NoiseModel.zero()), cmd)
-    w = draw(st.sampled_from([2.0, 3.0, 8.0]))
-    h = draw(st.sampled_from([2.0, 3.0, 6.0]))
-    rects = draw(st.lists(_rects(w, h), min_size=0 if target == "wall" else 1, max_size=4))
-    sx = _snap(draw, draw(st.floats(0.0, w)), w, rects, 0)
-    sy = _snap(draw, draw(st.floats(0.0, h)), h, rects, 1)
-    assume(0.0 <= sx <= w and 0.0 <= sy <= h)
-    assume(not any(r.contains(sx, sy) for r in rects))
-    box = Rect(0.0, 0.0, w, h) if target == "wall" else draw(st.sampled_from(rects))
-    if target == "corner":
-        tx = draw(st.sampled_from([box.x0, box.x1]))
-        ty = draw(st.sampled_from([box.y0, box.y1]))
-    else:
-        f = draw(st.floats(0.0, 1.0))
-        fx = box.x0 + f * (box.x1 - box.x0)
-        fy = box.y0 + f * (box.y1 - box.y0)
-        tx, ty = draw(st.sampled_from([(box.x0, fy), (box.x1, fy), (fx, box.y0), (fx, box.y1)]))
-    bearing = math.atan2(ty - sy, tx - sx) + draw(st.one_of(st.just(0.0), st.floats(-0.3, 0.3)))
-    speed = draw(st.floats(0.5, 4.0))
-    cmd = MotionCommand(-speed if reverse else speed, draw(_OMEGAS))
-    cfg = WorldConfig(
-        arena_w=w,
-        arena_h=h,
-        dt=draw(st.sampled_from([0.5, 1.0, 2.0])),
-        start=Pose2D(sx, sy, bearing + math.pi if reverse else bearing),
-        obstacles=tuple(rects),
-        trash=(),
-    )
-    return _colliding(World(cfg, NoiseModel.zero()), cmd)
-
-
-def _colliding(world, cmd):
-    start = world.robot.true_pose
-    x, y, _ = _unicycle(start.x, start.y, start.theta, cmd.v, cmd.omega, world.cfg.dt)
-    assume(world._collides(x, y))
-    return world, cmd
-
-
-@SETTINGS
-@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
-@pytest.mark.parametrize("target", ["wall", "face", "corner", "probe"])
-@given(data=st.data())
-def test_contact_frac_equals_the_unicycle_bisection(target, reverse, data):
-    # the float-level bisection, with the heading's trigonometry taken once
-    # and the collision test inline, finds the bits of the fraction a
-    # bisection of `_unicycle` probes and `_collides` tests finds, and
-    # step_world ends the tick on the pose `_unicycle` gives for it
-    _check_contact_frac(*data.draw(_contact_ticks(target, reverse)))
-
-
-def test_contact_frac_keeps_the_unicycle_evaluation_order():
-    # (v * h) * cos(theta) and v * (h * cos(theta)) differ by an ulp at the
-    # first probe here, and the box face lies on the first
-    cmd = MotionCommand(1.61, 0.0)
-    cfg, _ = _box_on_probe(Pose2D(4.72, 4.0, -0.59), cmd, 0.05, 0.5, True)
-    _check_contact_frac(World(cfg, NoiseModel.zero()), cmd)
-
-
-def _check_contact_frac(world, cmd):
-    start = world.robot.true_pose
-    dt = world.cfg.dt
-    args = (start.x, start.y, start.theta, cmd.v, cmd.omega, dt)
-    want = reference_contact_frac(world, *args)
-    assert world._contact_frac(*args).hex() == want.hex()
-    world.step_world(cmd)
-    assert world.last_contact
-    assert _bits(world.robot.true_pose) == _bits(_advance(start, cmd.v, cmd.omega, want * dt))
-
-
 # --------------------------------------------------------------------- #
 # detection
 
@@ -665,4 +565,7 @@ def test_delay_queue_equals_the_list_filter(ops):
             want.push(t, k)
         else:
             assert got.pop_ready(t) == want.pop_ready(t)
+        # nothing the reference holds is ready before `earliest`
+        assert got.earliest == min((ready for ready, _ in want._items), default=math.inf)
     assert got.pop_ready(math.inf) == want.pop_ready(math.inf)
+    assert got.earliest == math.inf
