@@ -18,15 +18,16 @@ from .gridmap import save_map
 from .mission import run_batch, run_mapping, run_mission
 
 
-def _parse_seeds(text: str) -> list[int]:
-    """Seed list syntax: 'a..b' (inclusive range) or comma-separated ints."""
+def _parse_seeds(text: str) -> range | list[int]:
+    """Seed list syntax: 'a..b' (inclusive range, returned as a range, so a
+    huge one costs no memory) or comma-separated ints."""
     try:
         if ".." in text:
             lo_text, _, hi_text = text.partition("..")
             lo, hi = int(lo_text, 10), int(hi_text, 10)
             if hi < lo:
                 raise ConfigError(f"seed range {text!r} is empty")
-            return list(range(lo, hi + 1))
+            return range(lo, hi + 1)
         return [int(part, 10) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise ConfigError(f"bad seed list {text!r}") from None

@@ -128,7 +128,6 @@ class MissionConfig:
             "conf_sigma",
             "false_positive_rate",
             "detector_latency",
-            "comm_latency",
         ):
             value = getattr(self.noise, name)
             if not value >= 0.0:

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import count, product
 
@@ -90,6 +91,9 @@ MATCH_RADIUS = 0.5
 # at least this far from the target (the verify step backs off the same
 # meter before looking).  Halved standoffs shrink it proportionally.
 MIN_APPROACH = 1.0
+
+# heading error above which PathFollower turns in place, rad
+ALIGN_THRESHOLD = 0.3
 
 
 @dataclass(frozen=True)
@@ -149,19 +153,12 @@ class _StallTimer:
 
 
 class PathFollower:
-    """Waypoint chaser: rotate toward the active waypoint, then drive with
-    proportional steering.  The final waypoint counts as reached within
-    `reach`, intermediate ones advance within 1.5 x `reach` (navigation
-    passes one grid cell width)."""
+    """Waypoint chaser: rotate toward the active waypoint until the heading
+    error is within ALIGN_THRESHOLD, then drive with proportional steering.
+    The final waypoint counts as reached within `reach`, intermediate ones
+    advance within 1.5 x `reach` (navigation passes one grid cell width)."""
 
-    def __init__(
-        self,
-        waypoints: list[GroundPoint],
-        speed: float,
-        turn_rate: float,
-        reach: float,
-        align_threshold: float = 0.3,
-    ):
+    def __init__(self, waypoints: list[GroundPoint], speed: float, turn_rate: float, reach: float):
         if not waypoints:
             raise ValueError("waypoints must be non-empty")
         self._wps = waypoints
@@ -169,7 +166,6 @@ class PathFollower:
         self._turn = turn_rate
         self._advance = 1.5 * reach
         self._final = reach
-        self._align = align_threshold
         self._idx = 0
 
     def command(self, pose: Pose2D, dt: float) -> MotionCommand | None:
@@ -184,7 +180,7 @@ class PathFollower:
         except CoincidentPoint:
             err = 0.0
         omega = turn_toward(err, self._turn, dt)
-        if abs(err) > self._align:
+        if abs(err) > ALIGN_THRESHOLD:
             return MotionCommand(0.0, omega)
         return MotionCommand(self._speed, omega)
 
@@ -806,7 +802,7 @@ def _write_csv(path: str, cols: list[str], rows: list[dict]) -> None:
 
 def run_batch(
     raw: dict[str, list[str]],
-    seeds: list[int],
+    seeds: Sequence[int],
     sweep: list[tuple[str, list[str]]],
     out_dir: str | None = None,
 ) -> tuple[list[dict], list[dict]]:

@@ -298,10 +298,9 @@ def approach_goal(
         StartOccupied: when the robot cell is off-grid or not Free.
     """
     cf = cost_field if cost_field is not None else CostField(grid)
-    res = grid.resolution
     tcell = grid.world_to_cell(trash.x, trash.y)
     # candidates live in a small box around the trash
-    rad_cells = int(math.ceil(standoff / res)) + 1
+    rad_cells = int(math.ceil(standoff / grid.resolution)) + 1
     if tcell is not None:
         c0 = max(0, tcell[0] - rad_cells)
         c1 = min(grid.width - 1, tcell[0] + rad_cells)
@@ -312,13 +311,9 @@ def approach_goal(
     rows, cols = np.nonzero(grid.cells[r0 : r1 + 1, c0 : c1 + 1] == FREE)
     rows += r0
     cols += c0
-    # same float expression as OccupancyGrid.cell_center, element by element
-    gx = (cols + 0.5) * res
-    gy = (rows + 0.5) * res
-    c = math.cos(grid.origin.theta)
-    s = math.sin(grid.origin.theta)
-    dx = grid.origin.x + c * gx - s * gy - trash.x
-    dy = grid.origin.y + s * gx + c * gy - trash.y
+    xs, ys = grid.cell_center(cols, rows)
+    dx = xs - trash.x
+    dy = ys - trash.y
     d = np.hypot(dx, dy)
     inside = (d <= standoff) & (d >= min_dist)
     # np.hypot may differ from math.hypot by an ulp: re-decide the rim
@@ -327,11 +322,9 @@ def approach_goal(
     ).tolist():
         di = math.hypot(float(dx[i]), float(dy[i]))
         inside[i] = min_dist <= di <= standoff
-    rows, cols, gx, gy = rows[inside], cols[inside], gx[inside], gy[inside]
-    xs = grid.origin.x + c * gx - s * gy
-    ys = grid.origin.y + s * gx + c * gy
+    rows, cols, xs, ys = rows[inside], cols[inside], xs[inside], ys[inside]
     if len(rows) == 0 or grid.world_to_cell(robot.x, robot.y) is None:
-        cf.field(robot, limit=0.0)  # raises StartOccupied for a bad start
+        _start_cell(grid, robot)  # raises StartOccupied for a bad start
         return None
     # per candidate: -1 not traced yet, else whether it sees the trash
     seen = np.full(len(rows), -1, dtype=np.int8)

@@ -37,9 +37,8 @@ PHANTOM_MAX_HALF = 24.0
 # 1024 cast a default sweep in about 1.3 ms against 1.7 ms, but their
 # temporaries raise peak RSS over 32 default missions by about 0.3 MB.
 SCAN_BLOCK = 256
-# an item at least this far times max(1, range) inside every arena wall is
-# never occluded by the wall, so `detect` casts no ray for it (meters)
-WALL_MARGIN = 1e-6
+DRONE_SPEED = 2.0  # survey ground speed, m/s
+SURVEY_CONFIDENCE = 0.9  # score of every true survey detection
 
 
 class LayoutError(ValueError):
@@ -61,11 +60,8 @@ class Rect:
         if self.x1 <= self.x0 or self.y1 <= self.y0:
             raise ValueError("rectangle must have positive extent")
 
-    def contains(self, x: float, y: float, margin: float = 0.0) -> bool:
-        return (
-            self.x0 - margin <= x <= self.x1 + margin
-            and self.y0 - margin <= y <= self.y1 + margin
-        )
+    def contains(self, x: float, y: float) -> bool:
+        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
     def distance_to(self, x: float, y: float) -> float:
         dx = max(self.x0 - x, 0.0, x - self.x1)
@@ -87,7 +83,6 @@ class NoiseModel:
     conf_sigma: detection score sigma around that mean.
     false_positive_rate: phantom boxes per second of camera time.
     detector_latency: capture-to-delivery delay of the detector, seconds.
-    comm_latency: survey message delay, seconds.
     comm_drop: survey message drop probability.
     """
 
@@ -105,7 +100,6 @@ class NoiseModel:
     conf_sigma: float = 0.12
     false_positive_rate: float = 0.04
     detector_latency: float = 0.5
-    comm_latency: float = 0.2
     comm_drop: float = 0.05
 
     def p_detect(self, ground_range: float) -> float:
@@ -132,7 +126,6 @@ class NoiseModel:
             conf_sigma=0.0,
             false_positive_rate=0.0,
             detector_latency=0.0,
-            comm_latency=0.0,
             comm_drop=0.0,
         )
 
@@ -357,12 +350,11 @@ class World:
         Believed pose: same integrator over the noisy, biased command,
         scaled by the same contact fraction (stalled wheels do not advance
         odometry).  Each pose is stepped with `_unicycle` and built once.
-        A `pinned` tick ends with the believed pose on the true one, as
-        `sync_believed` leaves it, and integrates no odometry; it still
-        draws the odometry noise, so the generator stream is the same as
-        for an unpinned tick.  With the mechanism on, any uncollected trash
-        within brush_halfwidth of the segment the base swept this tick is
-        collected.
+        A `pinned` tick ends with the believed pose on the true one and
+        integrates no odometry; it still draws the odometry noise, so the
+        generator stream is the same as for an unpinned tick.  With the
+        mechanism on, any uncollected trash within brush_halfwidth of the
+        segment the base swept this tick is collected.
         """
         dt = self.cfg.dt
         v = cmd.v
@@ -413,18 +405,15 @@ class World:
                     item.collected = True
         self.t += dt
 
-    def sync_believed(self) -> None:
-        """Snap the believed pose onto ground truth (a localization refresh)."""
-        self.robot.believed_pose = self.robot.true_pose
-
     # ------------------------------------------------------------------ #
     # sensing
 
-    def _ray_ranges(self, ox, oy, angles: np.ndarray) -> np.ndarray:
-        """Distance to the nearest structure (obstacle face or arena wall)
-        along each angle.  The origin (ox, oy) is one point for every ray,
-        or one point per ray as two arrays shaped like `angles`; it must
-        lie inside the arena.
+    def _ray_ranges(self, ox, oy, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Along each angle, the distance to the arena wall the ray leaves
+        through and to the nearest obstacle face it enters (inf when it
+        enters none).  The origin (ox, oy) is one point for every ray, or
+        one point per ray as two arrays shaped like `angles`; it must lie
+        inside the arena.
 
         Every ray meets the arena and every obstacle in one
         (box, ray) slab test.  Each element is computed as a loop over
@@ -444,7 +433,7 @@ class World:
         tmin, tmax = tmin[1:], tmax[1:]
         hit = (tmax >= tmin) & (tmax > 0.0) & (tmin > 0.0)
         entry = np.where(hit, tmin, np.inf).min(axis=0, initial=np.inf)
-        return np.minimum(exit_range, entry)
+        return exit_range, entry
 
     def scan(
         self,
@@ -479,7 +468,7 @@ class World:
         ranges = np.empty(len(angles))
         for lo in range(0, len(angles), SCAN_BLOCK):
             hi = lo + SCAN_BLOCK
-            ranges[lo:hi] = self._ray_ranges(ox[lo:hi], oy[lo:hi], angles[lo:hi])
+            ranges[lo:hi] = np.minimum(*self._ray_ranges(ox[lo:hi], oy[lo:hi], angles[lo:hi]))
         np.minimum(ranges, max_range, out=ranges)
         return bearings, ranges.reshape(len(poses), n_beams)
 
@@ -491,32 +480,27 @@ class World:
     ) -> list[BoundingBox]:
         """One detector frame from the true pose.
 
-        Every uncollected, unoccluded trash item inside the frustum and
-        within detect_max_range is seen with probability p_detect(range);
-        a sighting renders the exact box center, then jitters it by
-        pixel_sigma and the depth sample by depth_sigma_per_meter * range.
-        Boxes that would clip the image edge are not emitted.  Poisson
-        false positives at false_positive_rate per second are appended
-        with uniform position, depth, and score.
+        Every uncollected trash item inside the frustum and within
+        detect_max_range that no obstacle hides is seen with probability
+        p_detect(range); a sighting renders the exact box center, then
+        jitters it by pixel_sigma and the depth sample by
+        depth_sigma_per_meter * range.  Boxes that would clip the image
+        edge are not emitted.  Poisson false positives at
+        false_positive_rate per second are appended with uniform position,
+        depth, and score.
 
         The occlusion rays of all in-frustum items are cast together in
-        one `_ray_ranges` call; the items are then visited in trash order,
-        so the generator is drawn in the same order as item by item.
-
-        With no obstacles the cast is skipped when every in-frustum item
-        lies at least WALL_MARGIN * max(1, range) inside the arena: the
-        cast's wall exit along the ray is then past the item however the
-        ray's direction rounds, so the wall hides nothing.  An item on a
-        wall still needs the cast, because a direction component clamped
-        to 1e-12 can put the computed exit before it.
+        one `_ray_ranges` call, and only its obstacle entries count: items
+        lie inside the arena, so no wall stands between one and the
+        camera.  With no obstacles nothing is cast.  The items are then
+        visited in trash order, so the generator is drawn in the same
+        order as item by item.
         """
         nz = self.noise
         rng = self.rng
         pose = self.robot.true_pose
         cam_x = pose.x + math.cos(pose.theta) * cam.forward_offset
         cam_y = pose.y + math.sin(pose.theta) * cam.forward_offset
-        x0, y0, x1, y1 = self._arena_bounds
-        cast = bool(self._obstacle_bounds)
         seen: list[tuple[float, tuple[float, float, float], GroundPoint]] = []
         for item in self.trash:
             if item.collected:
@@ -529,24 +513,19 @@ class World:
             if pix is None:
                 continue
             seen.append((gr, pix, p))
-            m = WALL_MARGIN * max(1.0, gr)
-            if not (x0 + m <= p.x <= x1 - m and y0 + m <= p.y <= y1 - m):
-                cast = True
+        if seen and self.obstacles:
+            angles = [math.atan2(p.y - cam_y, p.x - cam_x) for _, _, p in seen]
+            entry = self._ray_ranges(cam_x, cam_y, np.array(angles))[1].tolist()
+            seen = [sight for sight, hit in zip(seen, entry) if hit >= sight[0] - 1e-9]
         out: list[BoundingBox] = []
-        if seen:
-            if cast:
-                angles = [math.atan2(p.y - cam_y, p.x - cam_x) for _, _, p in seen]
-                hits = self._ray_ranges(cam_x, cam_y, np.array(angles)).tolist()
-            for k, (gr, pix, _) in enumerate(seen):
-                if cast and hits[k] < gr - 1e-9:
-                    continue  # occluded
-                # random() is the draw uniform() makes, at about a third
-                # of its cost
-                if rng.random() >= nz.p_detect(gr):
-                    continue
-                box = self._render_box(pix, gr, cam)
-                if box is not None:
-                    out.append(box)
+        for gr, pix, _ in seen:
+            # random() is the draw uniform() makes, at about a third of
+            # its cost
+            if rng.random() >= nz.p_detect(gr):
+                continue
+            box = self._render_box(pix, gr, cam)
+            if box is not None:
+                out.append(box)
         if nz.false_positive_rate > 0.0 and frame_dt > 0.0:
             k = int(rng.poisson(nz.false_positive_rate * frame_dt))
             for _ in range(k):
@@ -615,31 +594,7 @@ def _seg_dist(px: float, py: float, ax: float, ay: float, bx: float, by: float) 
     return math.hypot(apx - t * abx, apy - t * aby)
 
 
-def through_channel(
-    messages: list[tuple[float, RawDetection]],
-    latency: float,
-    drop: float,
-    rng: np.random.Generator,
-) -> list[tuple[float, RawDetection]]:
-    """Lossy, delayed delivery: each (send_t, msg) is dropped with
-    probability `drop`, otherwise delivered at send_t + latency.  Returns
-    (delivery_t, msg) sorted by delivery time, ties in send order."""
-    delivered = []
-    for send_t, msg in messages:
-        if drop > 0.0 and rng.uniform() < drop:
-            continue
-        delivered.append((send_t + latency, msg))
-    delivered.sort(key=lambda pair: pair[0])
-    return delivered
-
-
-def aerial_survey(
-    world: World,
-    lane_spacing: float = 1.5,
-    rng: np.random.Generator | None = None,
-    drone_speed: float = 2.0,
-    confidence: float = 0.9,
-) -> list[RawDetection]:
+def aerial_survey(world: World, lane_spacing: float = 1.5) -> list[RawDetection]:
     """Top-down survey pass over the arena, delivered through the comm link.
 
     The drone flies boustrophedon lanes parallel to y, spaced lane_spacing
@@ -649,14 +604,15 @@ def aerial_survey(
     square of half-width lane_spacing, so every arena point is covered by
     at least two lanes and at least two frames per lane (>= 4 sightings
     before drops).  Each framed, uncollected item yields one detection at
-    its true position plus N(0, detect_pos_sigma) per axis.  Messages then
-    pass through the lossy link (comm_drop, comm_latency) and arrive in
-    delivery order.
+    its true position plus N(0, detect_pos_sigma) per axis, scored
+    SURVEY_CONFIDENCE.  After the whole pass each message is dropped with
+    probability comm_drop, one uniform draw per message in send order;
+    the rest arrive in send order.  The survey ends before any message is
+    used, so the link adds no delay.
     """
     if lane_spacing <= 0.0:
         raise ValueError("lane_spacing must be positive")
-    if rng is None:
-        rng = world.rng
+    rng = world.rng
     nz = world.noise
     w = lane_spacing
     arena = world.arena
@@ -666,9 +622,9 @@ def aerial_survey(
         lane_xs.append(x)
         x += lane_spacing
     lane_xs.append(arena.x1)
-    frame_interval = lane_spacing / drone_speed
+    frame_interval = lane_spacing / DRONE_SPEED
     t = 0.0
-    messages: list[tuple[float, RawDetection]] = []
+    messages: list[RawDetection] = []
     for i, lx in enumerate(lane_xs):
         y0, y1 = arena.y0 - w, arena.y1 + w
         if i % 2 == 1:
@@ -685,25 +641,20 @@ def aerial_survey(
                     if nz.detect_pos_sigma > 0.0:
                         px += rng.normal(0.0, nz.detect_pos_sigma)
                         py += rng.normal(0.0, nz.detect_pos_sigma)
-                    messages.append(
-                        (t, RawDetection(t, GroundPoint(px, py), confidence))
-                    )
+                    messages.append(RawDetection(t, GroundPoint(px, py), SURVEY_CONFIDENCE))
             if nz.false_positive_rate > 0.0:
                 k = int(rng.poisson(nz.false_positive_rate * frame_interval))
                 for _ in range(k):
                     messages.append(
-                        (
+                        RawDetection(
                             t,
-                            RawDetection(
-                                t,
-                                GroundPoint(
-                                    rng.uniform(arena.x0, arena.x1),
-                                    rng.uniform(arena.y0, arena.y1),
-                                ),
-                                float(rng.uniform()),
+                            GroundPoint(
+                                rng.uniform(arena.x0, arena.x1),
+                                rng.uniform(arena.y0, arena.y1),
                             ),
+                            float(rng.uniform()),
                         )
                     )
             t += frame_interval
-    delivered = through_channel(messages, nz.comm_latency, nz.comm_drop, rng)
-    return [msg for _, msg in delivered]
+    drop = nz.comm_drop
+    return [msg for msg in messages if not (drop > 0.0 and rng.uniform() < drop)]

@@ -25,16 +25,24 @@ TINY_MAP_CFG = (
 
 
 def test_parse_seeds_forms():
-    assert _parse_seeds("0..3") == [0, 1, 2, 3]
+    assert list(_parse_seeds("0..3")) == [0, 1, 2, 3]
     assert _parse_seeds("5") == [5]
     assert _parse_seeds("5,7, 9") == [5, 7, 9]
-    assert _parse_seeds("4..4") == [4]
+    assert list(_parse_seeds("4..4")) == [4]
     with pytest.raises(ConfigError):
         _parse_seeds("3..1")
     with pytest.raises(ConfigError):
         _parse_seeds("a..b")
     with pytest.raises(ConfigError):
         _parse_seeds("1,x")
+
+
+def test_huge_seed_range_is_not_materialised():
+    # a list of 10**15 + 1 ints would not fit in memory; the range holds
+    # only its ends
+    seeds = _parse_seeds(f"0..{10**15}")
+    assert len(seeds) == 10**15 + 1
+    assert seeds[0] == 0 and seeds[-1] == 10**15
 
 
 def test_parse_sweep_forms():
@@ -196,6 +204,17 @@ def test_batch_rejects_a_key_swept_twice(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == (
         "config error: sweep key 'world.trash_count' is given more than once\n"
+    )
+
+
+def test_survey_latency_key_is_unknown(tmp_path, capsys):
+    # the survey ends before any of its messages is used, so a link delay
+    # could change nothing; the key is gone, not silently ignored
+    cfg = tmp_path / "latency.cfg"
+    cfg.write_text("noise.comm_latency = 0.2\n", encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: line 1: unknown key 'noise.comm_latency'\n"
     )
 
 

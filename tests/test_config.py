@@ -178,7 +178,6 @@ def test_noise_probabilities_must_lie_in_unit_interval(key, value):
         "noise.conf_sigma",
         "noise.false_positive_rate",
         "noise.detector_latency",
-        "noise.comm_latency",
     ],
 )
 def test_noise_sigmas_rates_and_latencies_must_be_non_negative(key):

@@ -3,12 +3,13 @@ replaced.
 
 `World.step_world` bisects contacts on plain floats, `World._ray_ranges`
 casts every ray against every obstacle in one broadcast, `World.detect`
-casts all occlusion rays of a frame at once, and none in an arena without
-obstacles, and draws with `random()`, and `DelayQueue` keeps the earliest
-ready time its callers compare against.  Each must give bit-for-bit what
-the references below give: a Pose2D-building bisection through
-`_advance`, a loop over obstacles, one occlusion ray per item, `uniform()`
-draws, and a list filtered on every call.
+casts all occlusion rays of a frame at once against the obstacles, and
+none in an arena without obstacles, and draws with `random()`, and
+`DelayQueue` keeps the earliest ready time its callers compare against.
+Each must give bit-for-bit what the references below give: a
+Pose2D-building bisection through `_advance`, a loop over obstacles, one
+occlusion ray per item, `uniform()` draws, and a list filtered on every
+call.
 """
 
 import math
@@ -16,6 +17,7 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -50,15 +52,28 @@ def _advance(pose, v, omega, dt):
     return Pose2D(*_unicycle(pose.x, pose.y, pose.theta, v, omega, dt))
 
 
-def loop_ray_ranges(world, ox, oy, angles):
-    """One slab test per obstacle, folded into the running minimum."""
+def _directions(angles):
     dx = np.cos(angles)
     dy = np.sin(angles)
     dx = np.where(np.abs(dx) < 1e-12, 1e-12, dx)
     dy = np.where(np.abs(dy) < 1e-12, 1e-12, dy)
+    return dx, dy
+
+
+def loop_ray_ranges(world, ox, oy, angles):
+    """The arena exit, then one slab test per obstacle folded into the
+    running minimum."""
+    dx, dy = _directions(angles)
     tx = np.maximum((world.arena.x0 - ox) / dx, (world.arena.x1 - ox) / dx)
     ty = np.maximum((world.arena.y0 - oy) / dy, (world.arena.y1 - oy) / dy)
-    best = np.minimum(tx, ty)
+    return loop_obstacle_entry(world, ox, oy, angles, best=np.minimum(tx, ty))
+
+
+def loop_obstacle_entry(world, ox, oy, angles, best=np.inf):
+    """One slab test per obstacle, folded into the running minimum from
+    `best`: inf when no obstacle is entered."""
+    dx, dy = _directions(angles)
+    best = np.broadcast_to(best, dx.shape)
     for ob in world.obstacles:
         t1x = (ob.x0 - ox) / dx
         t2x = (ob.x1 - ox) / dx
@@ -120,9 +135,9 @@ def reference_step_world(world, cmd):
     world.t += dt
 
 
-def reference_detect(world, cam, frame_dt, detect_max_range=4.0, ray_ranges=loop_ray_ranges):
-    """`World.detect` with one occlusion ray cast per item, by
-    `ray_ranges(world, ox, oy, angles)`, and `uniform()` draws."""
+def reference_detect(world, cam, frame_dt, detect_max_range=4.0):
+    """`World.detect` with one occlusion ray cast per item against the
+    obstacles alone, and `uniform()` draws."""
     nz = world.noise
     pose = world.robot.true_pose
     cam_x = pose.x + math.cos(pose.theta) * cam.forward_offset
@@ -138,7 +153,7 @@ def reference_detect(world, cam, frame_dt, detect_max_range=4.0, ray_ranges=loop
         if pix is None:
             continue
         ang = math.atan2(item.position.y - cam_y, item.position.x - cam_x)
-        hit = float(ray_ranges(world, cam_x, cam_y, np.array([ang]))[0])
+        hit = float(loop_obstacle_entry(world, cam_x, cam_y, np.array([ang]))[0])
         if hit < gr - 1e-9:
             continue
         if world.rng.uniform() >= nz.p_detect(gr):
@@ -293,15 +308,16 @@ def _casts(draw):
 ))
 def test_ray_ranges_equal_the_per_obstacle_loop(case):
     world, ox, oy, angles = case
-    got = world._ray_ranges(ox, oy, angles)
+    exit_range, entry = world._ray_ranges(ox, oy, angles)
+    got = np.minimum(exit_range, entry)
     want = loop_ray_ranges(world, ox, oy, angles)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    assert entry.tobytes() == loop_obstacle_entry(world, ox, oy, angles).tobytes()
     # a batched cast equals one cast per ray, which detect relies on
-    singles = np.concatenate(
-        [world._ray_ranges(ox, oy, angles[i : i + 1]) for i in range(len(angles))]
-    )
-    assert got.tobytes() == singles.tobytes()
+    singles = [world._ray_ranges(ox, oy, angles[i : i + 1]) for i in range(len(angles))]
+    assert exit_range.tobytes() == np.concatenate([e for e, _ in singles]).tobytes()
+    assert entry.tobytes() == np.concatenate([n for _, n in singles]).tobytes()
 
 
 def test_scan_bearings_are_the_linspace_of_each_fov():
@@ -344,7 +360,8 @@ def test_multi_pose_scan_equals_one_cast_per_pose(case, cam):
         bearings, ranges = world.scan(cam, n_beams, 3.5, poses)
     assert ranges.shape == (len(poses), n_beams)
     want = [
-        np.minimum(world._ray_ranges(x, y, theta + bearings), 3.5) for x, y, theta in poses.tolist()
+        np.minimum(np.minimum(*world._ray_ranges(x, y, theta + bearings)), 3.5)
+        for x, y, theta in poses.tolist()
     ]
     assert ranges.tobytes() == np.concatenate([np.empty(0), *want]).tobytes()
 
@@ -464,10 +481,6 @@ def test_detect_equals_one_occlusion_ray_per_item(case, spots, collected):
         assert got.rng.bit_generator.state == want.rng.bit_generator.state
 
 
-def _cast_ray_ranges(world, ox, oy, angles):
-    return world._ray_ranges(ox, oy, angles)
-
-
 @st.composite
 def _open_arenas(draw):
     """An arena without obstacles, with the robot and the items on walls
@@ -496,9 +509,9 @@ def _open_arenas(draw):
 
 @SETTINGS
 @given(_open_arenas(), st.sampled_from([NoiseModel(false_positive_rate=2.0), NoiseModel.zero()]))
-# the robot on the right wall, looking along it at an item on it: the ray's
-# x direction clamps to 1e-12 and the cast puts the wall exit at 0, so the
-# item counts as occluded, and detect must still cast for it
+# the robot on the right wall, looking along it at an item on it: the
+# ray's x direction clamps to 1e-12 and a wall cast would put the exit at
+# 0, but no wall hides an item, so the item is seen
 @example(
     WorldConfig(
         start=Pose2D(8.0, 1.0, math.pi / 2),
@@ -508,16 +521,25 @@ def _open_arenas(draw):
     NoiseModel.zero(),
 )
 def test_detect_without_obstacles_equals_the_cast(cfg, noise):
-    # skipping the occlusion cast for items well inside an open arena
-    # gives the boxes and the generator state of casting every ray
+    # skipping the occlusion cast in an open arena gives the boxes and the
+    # generator state of casting every ray against the obstacles
     got = World(cfg, noise)
     want = World(cfg, noise)
     cam = CameraModel()
     for _ in range(3):
-        assert repr(got.detect(cam, 0.5)) == repr(
-            reference_detect(want, cam, 0.5, ray_ranges=_cast_ray_ranges)
-        )
+        assert repr(got.detect(cam, 0.5)) == repr(reference_detect(want, cam, 0.5))
         assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("obstacles", [(), (Rect(2.0, 2.0, 3.0, 3.0),)])
+def test_an_item_on_a_wall_is_seen_along_it(obstacles):
+    # the wall the camera looks along hides nothing, with or without a cast
+    cfg = WorldConfig(
+        start=Pose2D(8.0, 1.0, math.pi / 2),
+        obstacles=obstacles,
+        trash=((GroundPoint(8.0, 3.0), 0.3),),
+    )
+    assert len(World(cfg, NoiseModel.zero()).detect(CameraModel(), 0.5)) == 1
 
 
 @SETTINGS

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from littersim.clusterfilter import RawDetection
 from littersim.geometry import CameraModel, GroundPoint, Pose2D, ground_point_to_pixel
 from littersim.pickup import MotionCommand
 from littersim.simworld import (
@@ -16,7 +17,6 @@ from littersim.simworld import (
     WorldConfig,
     aerial_survey,
     random_layout,
-    through_channel,
 )
 
 
@@ -155,15 +155,6 @@ def test_pinned_step_lands_on_the_truth_and_keeps_the_stream():
             assert pinned.rng.bit_generator.state == plain.rng.bit_generator.state
             assert pinned.t == plain.t
     assert plain.robot.believed_pose != plain.robot.true_pose
-
-
-def test_sync_believed_snaps_to_truth():
-    w = empty_world(noise=NoiseModel(), seed=5)
-    for _ in range(50):
-        w.step_world(MotionCommand(0.4, 0.2))
-    assert w.robot.believed_pose != w.robot.true_pose
-    w.sync_believed()
-    assert w.robot.believed_pose == w.robot.true_pose
 
 
 def test_brush_collects_within_halfwidth_only():
@@ -393,23 +384,6 @@ def test_random_layout_spacing_rules():
                 assert math.hypot(p.x - q.x, p.y - q.y) >= 1.5
 
 
-def test_through_channel_drop_rate_and_ordering():
-    rng = np.random.default_rng(30)
-    msgs = [(float(i % 7), RawDetection(float(i), GroundPoint(0.0, 0.0), 0.5)) for i in range(2000)]
-    out = through_channel(msgs, latency=0.2, drop=0.3, rng=rng)
-    frac = 1.0 - len(out) / len(msgs)
-    assert abs(frac - 0.3) < 3.0 * math.sqrt(0.3 * 0.7 / 2000)
-    times = [t for t, _ in out]
-    assert times == sorted(times)
-    # same delivery time keeps send order (stamps rise with send index)
-    for t in set(times):
-        stamps = [m.t for tt, m in out if tt == t]
-        assert stamps == sorted(stamps)
-    # latency is added exactly and nothing is dropped at drop = 0
-    out0 = through_channel(msgs[:10], latency=0.5, drop=0.0, rng=rng)
-    assert [t for t, _ in out0] == sorted(m[0] + 0.5 for m in msgs[:10])
-
-
 def test_delay_queue_releases_on_time():
     q = DelayQueue()
     q.push(1.0, "a")
@@ -437,6 +411,99 @@ def test_aerial_survey_zero_noise_covers_every_item():
     w.trash[0].collected = True
     dets2 = aerial_survey(w)
     assert all((d.point.x, d.point.y) != (trash[0][0].x, trash[0][0].y) for d in dets2)
+
+
+def reference_survey(world, lane_spacing, latency):
+    """`aerial_survey` as it was with a link delay: each message is sent
+    with its frame time, dropped with probability comm_drop, delivered
+    `latency` later, and the survivors are stable-sorted by delivery
+    time."""
+    rng = world.rng
+    nz = world.noise
+    arena = world.arena
+    lane_xs = []
+    x = arena.x0
+    while x < arena.x1 - 1e-9:
+        lane_xs.append(x)
+        x += lane_spacing
+    lane_xs.append(arena.x1)
+    frame_interval = lane_spacing / 2.0
+    t = 0.0
+    messages = []
+    for i, lx in enumerate(lane_xs):
+        y0, y1 = arena.y0 - lane_spacing, arena.y1 + lane_spacing
+        if i % 2 == 1:
+            y0, y1 = y1, y0
+        stepdir = math.copysign(lane_spacing, y1 - y0)
+        for k in range(int(abs(y1 - y0) / lane_spacing) + 1):
+            fy = y0 + k * stepdir
+            for item in world.trash:
+                p = item.position
+                if item.collected:
+                    continue
+                if abs(p.x - lx) <= lane_spacing and abs(p.y - fy) <= lane_spacing:
+                    px, py = p.x, p.y
+                    if nz.detect_pos_sigma > 0.0:
+                        px += rng.normal(0.0, nz.detect_pos_sigma)
+                        py += rng.normal(0.0, nz.detect_pos_sigma)
+                    messages.append((t, (t, GroundPoint(px, py), 0.9)))
+            if nz.false_positive_rate > 0.0:
+                for _ in range(int(rng.poisson(nz.false_positive_rate * frame_interval))):
+                    point = GroundPoint(
+                        rng.uniform(arena.x0, arena.x1), rng.uniform(arena.y0, arena.y1)
+                    )
+                    messages.append((t, (t, point, float(rng.uniform()))))
+            t += frame_interval
+    delivered = []
+    for send_t, msg in messages:
+        if nz.comm_drop > 0.0 and rng.uniform() < nz.comm_drop:
+            continue
+        delivered.append((send_t + latency, msg))
+    delivered.sort(key=lambda pair: pair[0])
+    return [msg for _, msg in delivered]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**16),
+    st.integers(0, 4),
+    st.lists(st.booleans(), min_size=4, max_size=4),
+    st.one_of(st.sampled_from([0.5, 1.5, 2.5, 8.0]), st.floats(0.3, 9.0)),
+    st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    st.sampled_from([0.0, NoiseModel().false_positive_rate, 5.0]),
+    st.sampled_from([0.0, NoiseModel().detect_pos_sigma]),
+    st.sampled_from([0.0, 0.2, 7.5]),
+)
+def test_aerial_survey_equals_the_delayed_link(
+    seed, n_trash, collected, lane_spacing, drop, fp_rate, pos_sigma, latency
+):
+    # a constant link delay keeps the send order, so dropping it changes
+    # neither the messages nor the generator stream
+    cfg = WorldConfig(seed=seed, obstacle_count=0, trash_count=n_trash)
+    noise = NoiseModel(
+        comm_drop=drop, false_positive_rate=fp_rate, detect_pos_sigma=pos_sigma
+    )
+    got = World(cfg, noise)
+    want = World(cfg, noise)
+    for world in (got, want):
+        for item, flag in zip(world.trash, collected):
+            item.collected = flag
+    survey = [(d.t, d.point, d.confidence) for d in aerial_survey(got, lane_spacing)]
+    assert survey == reference_survey(want, lane_spacing, latency)
+    assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+
+def test_aerial_survey_drops_at_the_link_rate_in_send_order():
+    # thousands of phantoms: the dropped share is comm_drop within 3 sigma,
+    # and the survivors keep their send order
+    cfg = WorldConfig(seed=30, obstacles=(), trash=())
+    sent = aerial_survey(World(cfg, NoiseModel(comm_drop=0.0, false_positive_rate=60.0)))
+    kept = aerial_survey(World(cfg, NoiseModel(comm_drop=0.3, false_positive_rate=60.0)))
+    assert len(sent) > 1500
+    frac = 1.0 - len(kept) / len(sent)
+    assert abs(frac - 0.3) < 3.0 * math.sqrt(0.3 * 0.7 / len(sent))
+    remaining = iter(sent)
+    assert all(msg in remaining for msg in kept)
 
 
 def test_aerial_survey_rejects_bad_lane_spacing():
