@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 from .clusterfilter import FilterConfig
 from .geometry import CameraModel, GroundPoint, Pose2D
-from .pickup import ACTIVATION_RADIUS, PickupConfig
+from .pickup import ACTIVATION_RADIUS, ACTIVATION_TOLERANCE, PickupConfig
 from .simworld import PHANTOM_MAX_HALF, NoiseModel, Rect, WorldConfig
 
 SCENARIOS = ("full", "pickup_trial")
@@ -149,10 +149,10 @@ class MissionConfig:
                 raise ConfigError(
                     f"camera.{name}: must be at least {min_pixels:g} px, got {value!r}"
                 )
-        if self.trial_distance > ACTIVATION_RADIUS + 0.25:
+        if self.trial_distance > ACTIVATION_RADIUS + ACTIVATION_TOLERANCE:
             raise ConfigError(
                 "mission.trial_distance: exceeds the pickup activation radius "
-                f"({ACTIVATION_RADIUS} m + 0.25 m tolerance)"
+                f"({ACTIVATION_RADIUS} m + {ACTIVATION_TOLERANCE} m tolerance)"
             )
 
     @property

@@ -1,16 +1,17 @@
 """Tri-state occupancy grid: ray integration, cleanup morphology, inflation, file I/O.
 
 Cells are one of Free, Occupied, Unknown and are stored in a dense uint8
-array indexed [row, col], row-major, with cell (col=0, row=0) at the grid
-origin corner.  The origin pose places that corner in the map frame and may
-be rotated.
+array indexed [row, col], row-major.  The grid lies in the map frame:
+cell (col, row) covers [col*res, (col+1)*res) x [row*res, (row+1)*res).
 
 File format (see save_map/load_map): a single ASCII header line
 
-    GRIDMAP v1 <width> <height> <resolution> <origin_x> <origin_y> <origin_theta>\n
+    GRIDMAP v1 <width> <height> <resolution> 0.0 0.0 0.0\n
 
-followed by exactly width*height raw cell bytes, row 0 first.  Byte values
-are 0 = Occupied, 254 = Free, 205 = Unknown, chosen so dumped maps open in
+followed by exactly width*height raw cell bytes, row 0 first.  The three
+zeros are the format's origin fields; the grid always starts at the map
+frame's origin, and load_map rejects any other origin.  Byte values are
+0 = Occupied, 254 = Free, 205 = Unknown, chosen so dumped maps open in
 common PGM viewers with the usual shading.
 """
 
@@ -20,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import Pose2D
 
 FREE = np.uint8(254)
 OCCUPIED = np.uint8(0)
@@ -50,9 +49,10 @@ class StructuringElement:
 
 
 class OccupancyGrid:
-    """Dense tri-state grid over a rotated rectangle of the map frame."""
+    """Dense tri-state grid over the rectangle [0, width*res) x
+    [0, height*res) of the map frame."""
 
-    def __init__(self, width: int, height: int, resolution: float, origin: Pose2D):
+    def __init__(self, width: int, height: int, resolution: float):
         if width <= 0 or height <= 0:
             raise ValueError("grid dimensions must be positive")
         if resolution <= 0.0:
@@ -60,7 +60,6 @@ class OccupancyGrid:
         self.width = width
         self.height = height
         self.resolution = resolution
-        self.origin = origin
         self.cells = np.full((height, width), UNKNOWN, dtype=np.uint8)
 
     def __eq__(self, other: object) -> bool:
@@ -70,37 +69,25 @@ class OccupancyGrid:
             self.width == other.width
             and self.height == other.height
             and self.resolution == other.resolution
-            and self.origin == other.origin
             and bool(np.array_equal(self.cells, other.cells))
         )
 
     def copy(self) -> "OccupancyGrid":
-        g = OccupancyGrid(self.width, self.height, self.resolution, self.origin)
+        g = OccupancyGrid(self.width, self.height, self.resolution)
         g.cells = self.cells.copy()
         return g
 
     def world_to_cell(self, x: float, y: float) -> tuple[int, int] | None:
         """Map-frame point to (col, row), or None when outside the grid."""
-        c = math.cos(self.origin.theta)
-        s = math.sin(self.origin.theta)
-        dx = x - self.origin.x
-        dy = y - self.origin.y
-        # rotate into the grid frame
-        gx = c * dx + s * dy
-        gy = -s * dx + c * dy
-        col = math.floor(gx / self.resolution)
-        row = math.floor(gy / self.resolution)
+        col = math.floor(x / self.resolution)
+        row = math.floor(y / self.resolution)
         if 0 <= col < self.width and 0 <= row < self.height:
             return col, row
         return None
 
     def cell_center(self, col: int, row: int) -> tuple[float, float]:
         """Map-frame coordinates of a cell center."""
-        gx = (col + 0.5) * self.resolution
-        gy = (row + 0.5) * self.resolution
-        c = math.cos(self.origin.theta)
-        s = math.sin(self.origin.theta)
-        return self.origin.x + c * gx - s * gy, self.origin.y + s * gx + c * gy
+        return (col + 0.5) * self.resolution, (row + 0.5) * self.resolution
 
 
 def trace_cells(
@@ -114,16 +101,9 @@ def trace_cells(
     corner does not pick up the diagonal neighbors it only grazes.  Cells
     outside the grid bounds are omitted; consecutive duplicates collapse.
     """
-    c = math.cos(grid.origin.theta)
-    s = math.sin(grid.origin.theta)
     res = grid.resolution
-
-    def to_grid(x: float, y: float) -> tuple[float, float]:
-        dx, dy = x - grid.origin.x, y - grid.origin.y
-        return (c * dx + s * dy) / res, (-s * dx + c * dy) / res
-
-    ax, ay = to_grid(x0, y0)
-    bx, by = to_grid(x1, y1)
+    ax, ay = x0 / res, y0 / res
+    bx, by = x1 / res, y1 / res
     dx = bx - ax
     dy = by - ay
     ts = [0.0, 1.0]
@@ -256,12 +236,9 @@ def trace_many(
 
 
 def _to_grid(grid: OccupancyGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Map-frame points as grid-frame rows x and y, in cell units, with
-    `trace_cells`' float operations."""
-    c = math.cos(grid.origin.theta)
-    s = math.sin(grid.origin.theta)
-    dx, dy = x - grid.origin.x, y - grid.origin.y
-    return np.array([(c * dx + s * dy) / grid.resolution, (-s * dx + c * dy) / grid.resolution])
+    """Map-frame points as rows x and y in cell units, with `trace_cells`'
+    float operations."""
+    return np.array([x / grid.resolution, y / grid.resolution])
 
 
 def _crossings(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -456,10 +433,7 @@ def _half_width(di: int, bound: float) -> int:
 
 def save_map(grid: OccupancyGrid, path: str) -> None:
     """Write the grid in the GRIDMAP v1 format.  Round-trips bit-exactly."""
-    header = (
-        f"GRIDMAP v1 {grid.width} {grid.height} {grid.resolution!r} "
-        f"{grid.origin.x!r} {grid.origin.y!r} {grid.origin.theta!r}\n"
-    )
+    header = f"GRIDMAP v1 {grid.width} {grid.height} {grid.resolution!r} 0.0 0.0 0.0\n"
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
         f.write(grid.cells.tobytes())
@@ -469,8 +443,9 @@ def load_map(path: str) -> OccupancyGrid:
     """Read a GRIDMAP v1 file.
 
     Raises:
-        FormatError: on a bad magic string, malformed header fields, bad
-            cell byte values, or a payload size mismatch.
+        FormatError: on a bad magic string, malformed header fields, an
+            origin other than 0.0 0.0 0.0, bad cell byte values, or a
+            payload size mismatch.
         OSError: propagated for I/O failures.
     """
     with open(path, "rb") as f:
@@ -491,13 +466,13 @@ def load_map(path: str) -> OccupancyGrid:
         raise FormatError("non-integer grid dimensions", len(_MAGIC) + 1) from None
     try:
         resolution = float(fields[2])
-        ox = float(fields[3])
-        oy = float(fields[4])
-        otheta = float(fields[5])
+        origin = [float(f) for f in fields[3:]]
     except ValueError:
         raise FormatError("non-numeric header fields", len(_MAGIC) + 1) from None
     if width <= 0 or height <= 0 or resolution <= 0.0:
         raise FormatError("non-positive dimensions or resolution", len(_MAGIC) + 1)
+    if origin != [0.0, 0.0, 0.0]:
+        raise FormatError("origin fields must be 0.0 0.0 0.0", len(_MAGIC) + 1)
     payload = data[nl + 1 :]
     if len(payload) != width * height:
         raise FormatError(
@@ -508,6 +483,6 @@ def load_map(path: str) -> OccupancyGrid:
     if not valid.all():
         bad = int(np.argmax(~valid.ravel()))
         raise FormatError(f"invalid cell byte {cells.ravel()[bad]}", nl + 1 + bad)
-    grid = OccupancyGrid(width, height, resolution, Pose2D(ox, oy, otheta))
+    grid = OccupancyGrid(width, height, resolution)
     grid.cells = cells
     return grid

@@ -238,7 +238,7 @@ class _Runner:
         self.confirmed_list: list[TrashHypothesis] = []
         self.frames = DelayQueue()
         w, h = cfg.grid_shape
-        self.grid = OccupancyGrid(w, h, cfg.map_resolution, Pose2D(0.0, 0.0, 0.0))
+        self.grid = OccupancyGrid(w, h, cfg.map_resolution)
         self.nav_grid: OccupancyGrid | None = None
         self.cost_field: CostField | None = None
         # one raw (t, phase, v, omega, mechanism_on, x, y, theta) row per

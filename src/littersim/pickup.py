@@ -139,11 +139,11 @@ class PickupState:
 
 
 ACTIVATION_RADIUS = 2.0
+# slack past ACTIVATION_RADIUS within which an episode may still start, m
+ACTIVATION_TOLERANCE = 0.25
 
 
-def start_pickup(
-    robot: Pose2D, expected: GroundPoint, cfg: PickupConfig, tolerance: float = 0.25
-) -> PickupState:
+def start_pickup(robot: Pose2D, expected: GroundPoint, cfg: PickupConfig) -> PickupState:
     """Begin an episode near an expected trash position.
 
     The spin direction is toward the side the expectation lies on; dead
@@ -152,10 +152,10 @@ def start_pickup(
 
     Raises:
         TooFar: when the expectation is beyond the activation radius
-            (2 m) plus `tolerance`.
+            (2 m) plus ACTIVATION_TOLERANCE (0.25 m).
     """
     d = distance(robot.position, expected)
-    if d > ACTIVATION_RADIUS + tolerance:
+    if d > ACTIVATION_RADIUS + ACTIVATION_TOLERANCE:
         raise TooFar(f"expected trash {d:.2f} m away, activation radius is {ACTIVATION_RADIUS} m")
     side = left_or_right(robot, expected)
     omega = cfg.spin_rate if side in (Side.LEFT, Side.AHEAD) else -cfg.spin_rate

@@ -438,9 +438,9 @@ class World:
     def scan(
         self,
         cam: CameraModel,
-        n_beams: int = 32,
-        max_range: float = 3.5,
-        poses: np.ndarray | None = None,
+        n_beams: int,
+        max_range: float,
+        poses: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Forward range scans over the camera's horizontal FOV, cast from
         the robot base.
@@ -448,19 +448,15 @@ class World:
         Returns (bearings, ranges): the n_beams beam bearings relative to
         the heading, evenly spaced over the FOV, and one row of ranges per
         pose, each capped at max_range (a capped ray means no hit).
-        `poses` holds (x, y, theta) rows; None scans once from the true
-        pose.  The sensor is noiseless and draws nothing from the
-        generator, so a scan depends only on its pose and the fixed
-        layout, and a caller may queue poses and cast them all at once.
-        The rays of all poses go through `_ray_ranges` SCAN_BLOCK at a
-        time, so the memory a cast needs does not grow with the number of
-        poses; each range has the same bits as in a cast of its pose
-        alone.
+        `poses` holds (x, y, theta) rows.  The sensor is noiseless and
+        draws nothing from the generator, so a scan depends only on its
+        pose and the fixed layout, and a caller may queue poses and cast
+        them all at once.  The rays of all poses go through `_ray_ranges`
+        SCAN_BLOCK at a time, so the memory a cast needs does not grow
+        with the number of poses; each range has the same bits as in a
+        cast of its pose alone.
         """
         bearings = np.linspace(-0.5 * cam.hfov, 0.5 * cam.hfov, n_beams)
-        if poses is None:
-            pose = self.robot.true_pose
-            poses = [(pose.x, pose.y, pose.theta)]
         poses = np.asarray(poses, dtype=float).reshape(-1, 3)
         ox = np.repeat(poses[:, 0], n_beams)
         oy = np.repeat(poses[:, 1], n_beams)

@@ -249,7 +249,7 @@ def test_criterion_05_astar_matches_dijkstra():
     solved = 0
     while solved < 100:
         cells = np.where(rng.random((50, 50)) < 0.25, OCCUPIED, FREE).astype(np.uint8)
-        grid = OccupancyGrid(50, 50, 0.1, Pose2D(0.0, 0.0, 0.0))
+        grid = OccupancyGrid(50, 50, 0.1)
         grid.cells = cells
         rows, cols = np.nonzero(cells == FREE)
         if len(rows) < 2:
@@ -335,7 +335,7 @@ def test_criterion_06_morphology_matches_brute_force():
             size=(40, 40),
             p=[0.6, 0.2, 0.2],
         )
-        grid = OccupancyGrid(40, 40, 0.05, Pose2D(0.0, 0.0, 0.0))
+        grid = OccupancyGrid(40, 40, 0.05)
         grid.cells = cells.copy()
         mask = cells != FREE
         closed = close_occupied(mask, se)

@@ -59,13 +59,13 @@ def brute_erode(mask, k):
 
 def grid_from(cells):
     arr = np.asarray(cells, dtype=np.uint8)
-    g = OccupancyGrid(arr.shape[1], arr.shape[0], 0.05, Pose2D(0.0, 0.0, 0.0))
+    g = OccupancyGrid(arr.shape[1], arr.shape[0], 0.05)
     g.cells = arr.copy()
     return g
 
 
 def test_trace_cells_axis_aligned_and_diagonal():
-    g = OccupancyGrid(10, 10, 1.0, Pose2D(0.0, 0.0, 0.0))
+    g = OccupancyGrid(10, 10, 1.0)
     # straight along +x through cell centers
     cells = trace_cells(g, 0.5, 0.5, 4.5, 0.5)
     assert cells == [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
@@ -97,7 +97,7 @@ def _overlap_interval(x0, y0, x1, y1, col, row, res, inset=0.0):
 def test_trace_cells_matches_analytic_overlap():
     rng = np.random.default_rng(5)
     res = 0.1
-    g = OccupancyGrid(30, 30, res, Pose2D(0.0, 0.0, 0.0))
+    g = OccupancyGrid(30, 30, res)
     for _ in range(100):
         x0, y0, x1, y1 = rng.uniform(0.05, 2.95, size=4)
         got = trace_cells(g, x0, y0, x1, y1)
@@ -126,11 +126,6 @@ def _segment_case(draw):
     res = draw(st.sampled_from([0.05, 0.1, 0.25, 1.0]))
     width = draw(st.integers(1, 30))
     height = draw(st.integers(1, 30))
-    origin = Pose2D(
-        draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
-        draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
-        draw(st.one_of(st.just(0.0), _ANGLES)),
-    )
 
     def grid_coord(n):
         # on a gridline or corner, a hair off one, a cell center, or
@@ -142,29 +137,26 @@ def _segment_case(draw):
             st.floats(-0.5 * n, 1.5 * n),
         ))
 
-    c, s = math.cos(origin.theta), math.sin(origin.theta)
     ends = []
     for _ in range(2):
-        gx, gy = grid_coord(width) * res, grid_coord(height) * res
-        ends += [origin.x + c * gx - s * gy, origin.y + s * gx + c * gy]
+        ends += [grid_coord(width) * res, grid_coord(height) * res]
     if draw(st.booleans()):
         ends[2:] = ends[:2]  # zero length
-    return OccupancyGrid(width, height, res, origin), tuple(ends)
+    return OccupancyGrid(width, height, res), tuple(ends)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(_segment_case())
+# x runs from 5.0 to 4.999999999999999, an extent under 1e-15 cells, so
+# the segment is walked as if parallel to the y axis and its first three
+# cells land in column 5, which only its start point t = 0 touches
+@example((OccupancyGrid(10, 10, 1.0), (5.0, 0.0, 4.999999999999999, 5.0)))
 def test_trace_cells_matches_brute_force_overlap(case):
     grid, (x0, y0, x1, y1) = case
     got = trace_cells(grid, x0, y0, x1, y1)
-    c, s = math.cos(grid.origin.theta), math.sin(grid.origin.theta)
-
-    def to_grid(x, y):
-        # the map frame to grid coordinates in cells
-        dx, dy = x - grid.origin.x, y - grid.origin.y
-        return (c * dx + s * dy) / grid.resolution, (-s * dx + c * dy) / grid.resolution
-
-    (ax, ay), (bx, by) = to_grid(x0, y0), to_grid(x1, y1)
+    res = grid.resolution
+    # grid coordinates in cells
+    ax, ay, bx, by = x0 / res, y0 / res, x1 / res, y1 / res
     assert len(got) == len(set(got))
     assert all(0 <= col < grid.width and 0 <= row < grid.height for col, row in got)
     length = math.hypot(bx - ax, by - ay)
@@ -209,7 +201,7 @@ def fold_scan(grid, robot, scan, max_range):
 
 def test_integrate_scan_worked_example():
     # range 1.0 at resolution 0.05: 19 Free cells then 1 Occupied
-    g = OccupancyGrid(40, 40, 0.05, Pose2D(0.0, 0.0, 0.0))
+    g = OccupancyGrid(40, 40, 0.05)
     robot = Pose2D(0.025, 0.025, 0.0)
     integrate_scan(g, [(robot.x, robot.y, robot.theta)], [0.0], [[1.0]], 3.5)
     row = g.cells[0]
@@ -220,7 +212,7 @@ def test_integrate_scan_worked_example():
 
 
 def test_integrate_scan_max_range_marks_free_only():
-    g = OccupancyGrid(40, 40, 0.05, Pose2D(0.0, 0.0, 0.0))
+    g = OccupancyGrid(40, 40, 0.05)
     robot = Pose2D(0.025, 0.025, 0.0)
     integrate_scan(g, [(robot.x, robot.y, robot.theta)], [0.0], [[1.0]], 1.0)
     row = g.cells[0]
@@ -229,7 +221,7 @@ def test_integrate_scan_max_range_marks_free_only():
 
 
 def test_integrate_scan_never_demotes_occupied():
-    g = OccupancyGrid(40, 40, 0.05, Pose2D(0.0, 0.0, 0.0))
+    g = OccupancyGrid(40, 40, 0.05)
     robot = Pose2D(0.025, 0.025, 0.0)
     integrate_scan(g, [(robot.x, robot.y, robot.theta)], [0.0], [[0.5]], 3.5)
     hit = g.cells[0, 10]
@@ -276,12 +268,7 @@ def _draw_grid(draw):
     res = draw(st.sampled_from([0.05, 0.1, 0.25, 1.0]))
     width = draw(st.integers(1, 30))
     height = draw(st.integers(1, 30))
-    origin = Pose2D(
-        draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
-        draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
-        draw(st.one_of(st.just(0.0), _ANGLES)),
-    )
-    grid = OccupancyGrid(width, height, res, origin)
+    grid = OccupancyGrid(width, height, res)
     fill = draw(st.sampled_from(["unknown", "mixed", "occupied", "free"]))
     if fill == "mixed":
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -296,7 +283,7 @@ def _draw_grid(draw):
 def _draw_pose(draw, grid):
     """A robot pose on a gridline or corner, near one, at a cell center,
     or anywhere in and around the grid."""
-    res, origin = grid.resolution, grid.origin
+    res = grid.resolution
 
     def grid_coord(n):
         # on a gridline or corner, a hair off one, a cell center, or
@@ -308,9 +295,7 @@ def _draw_pose(draw, grid):
             st.floats(-0.5 * n, 1.5 * n),
         )) * res
 
-    gx, gy = grid_coord(grid.width), grid_coord(grid.height)
-    c, s = math.cos(origin.theta), math.sin(origin.theta)
-    return Pose2D(origin.x + c * gx - s * gy, origin.y + s * gx + c * gy, draw(_ANGLES))
+    return Pose2D(grid_coord(grid.width), grid_coord(grid.height), draw(_ANGLES))
 
 
 def _beams(max_range, res):
@@ -341,7 +326,7 @@ def _scan_case(draw):
 # gridline, crosses it a twelfth of the way along: the short stretch on
 # either side of the crossing is a cell of its own
 @example((
-    OccupancyGrid(40, 80, 0.05, Pose2D(0.0, 0.0, 0.0)),
+    OccupancyGrid(40, 80, 0.05),
     Pose2D((10 - 5e-4) * 0.05, 0.025, math.pi / 2 - 1e-4),
     [(0.0, 3.0, 3.5)],
     3.5,
@@ -387,8 +372,8 @@ def _fold_case(draw, total):
     poses = np.array([
         (p.x, p.y, p.theta) for p in (
             pick(pose_pool, lambda: Pose2D(
-                grid.origin.x + float(rng.uniform(-0.5, 1.5)) * size,
-                grid.origin.y + float(rng.uniform(-0.5, 1.5)) * size,
+                float(rng.uniform(-0.5, 1.5)) * size,
+                float(rng.uniform(-0.5, 1.5)) * size,
                 float(rng.uniform(-math.pi, math.pi)),
             ))
             for _ in range(n_scans)
@@ -614,18 +599,33 @@ def test_inflate_equals_distance_transform_reference(case):
 
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(17)
-    g = OccupancyGrid(33, 21, 0.05, Pose2D(1.0, -2.0, 0.25))
+    g = OccupancyGrid(33, 21, 0.05)
     g.cells = rng.choice(
         np.array([FREE, OCCUPIED, UNKNOWN], dtype=np.uint8), size=(21, 33)
     )
     path = tmp_path / "m.grid"
     save_map(g, str(path))
+    # the origin fields are always the map frame's origin
+    assert path.read_bytes() == b"GRIDMAP v1 33 21 0.05 0.0 0.0 0.0\n" + g.cells.tobytes()
     back = load_map(str(path))
     assert back == g
     # byte-stable: saving the loaded grid reproduces the file exactly
     path2 = tmp_path / "m2.grid"
     save_map(back, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "origin", ["0.25 0.0 0.0", "0.0 0.25 0.0", "0.0 0.0 0.25"],
+    ids=["origin_x", "origin_y", "origin_theta"],
+)
+def test_load_map_rejects_a_nonzero_origin(tmp_path, origin):
+    p = tmp_path / "m.grid"
+    p.write_bytes(f"GRIDMAP v1 2 1 0.05 {origin}\n".encode() + bytes([FREE, FREE]))
+    with pytest.raises(FormatError, match="origin") as err:
+        load_map(str(p))
+    # the offset of the header fields, as for every other header error
+    assert err.value.offset == len(b"GRIDMAP v1 ")
 
 
 def test_load_map_format_errors(tmp_path):

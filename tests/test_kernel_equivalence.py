@@ -324,10 +324,12 @@ def test_scan_bearings_are_the_linspace_of_each_fov():
     world = World(WorldConfig(obstacles=(Rect(2.0, 0.0, 2.5, 6.0),), trash=()), NoiseModel.zero())
     for cam, n in [(CameraModel(), 32), (CameraModel(hfov=1.0), 32), (CameraModel(), 7)]:
         for _ in range(2):
-            got_bearings, ranges = world.scan(cam, n_beams=n, max_range=3.5)
+            pose = world.robot.true_pose
+            got_bearings, ranges = world.scan(
+                cam, n_beams=n, max_range=3.5, poses=[(pose.x, pose.y, pose.theta)]
+            )
             bearings = np.linspace(-0.5 * cam.hfov, 0.5 * cam.hfov, n)
             assert got_bearings.tobytes() == bearings.tobytes()
-            pose = world.robot.true_pose
             want = np.minimum(loop_ray_ranges(world, pose.x, pose.y, pose.theta + bearings), 3.5)
             assert ranges.dtype == want.dtype and ranges.shape == (1, n)
             assert ranges[0].tobytes() == want.tobytes()

@@ -451,9 +451,10 @@ def test_mapping_sweep_casts_from_the_true_pose_of_each_tick(monkeypatch, seed):
         before = len(runner.pending_poses)
         sense_map(runner)
         if len(runner.pending_poses) > before:
-            world = runner.world
-            queued.append((runner.pending_poses[-1], world.robot.true_pose))
-            live_scans.append(scan(world, cfg.camera, cfg.n_beams, cfg.scan_max_range)[1])
+            world, true = runner.world, runner.world.robot.true_pose
+            queued.append((runner.pending_poses[-1], true))
+            row = [(true.x, true.y, true.theta)]
+            live_scans.append(scan(world, cfg.camera, cfg.n_beams, cfg.scan_max_range, row)[1])
 
     casts = []
 
@@ -515,10 +516,7 @@ def _free_queries(draw):
     width = draw(st.integers(1, 14))
     height = draw(st.integers(1, 14))
     res = draw(st.sampled_from([0.05, 0.1, 0.25, 0.3, 1.0]))
-    # mostly the runner's origin; an offset one can put the clamped query
-    # off the grid
-    origin = draw(st.sampled_from([(0.0, 0.0)] * 6 + [(0.5, -0.25), (-1.0, 2.0)]))
-    grid = OccupancyGrid(width, height, res, Pose2D(origin[0], origin[1], 0.0))
+    grid = OccupancyGrid(width, height, res)
     p_free = draw(st.sampled_from([0.0, 0.1, 0.3, 0.3, 0.5, 0.7, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid.cells[:] = np.where(
@@ -545,7 +543,7 @@ def test_nearest_free_equals_the_ring_search(case):
 
 
 def test_nearest_free_breaks_exact_ties_toward_lower_row_then_col():
-    grid = OccupancyGrid(4, 4, 1.0, Pose2D(0.0, 0.0, 0.0))
+    grid = OccupancyGrid(4, 4, 1.0)
     grid.cells[:] = OCCUPIED
     # the query sits on the corner shared by four cells; only the two
     # diagonal ones are Free and both lie at the same distance

@@ -137,7 +137,7 @@ def test_too_far_raises():
     d = ACTIVATION_RADIUS + 0.25
     start_pickup(robot, GroundPoint(d - 1e-9, 0.0), cfg)
     with pytest.raises(TooFar):
-        start_pickup(robot, GroundPoint(d + 1e-6, 0.0), cfg, tolerance=0.25)
+        start_pickup(robot, GroundPoint(d + 1e-6, 0.0), cfg)
 
 
 def test_timeout_boundary_is_strict():

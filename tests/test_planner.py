@@ -27,7 +27,7 @@ SQRT2 = math.sqrt(2.0)
 
 def grid_from(cells, resolution=0.1):
     arr = np.asarray(cells, dtype=np.uint8)
-    g = OccupancyGrid(arr.shape[1], arr.shape[0], resolution, Pose2D(0.0, 0.0, 0.0))
+    g = OccupancyGrid(arr.shape[1], arr.shape[0], resolution)
     g.cells = arr.copy()
     return g
 
@@ -421,12 +421,7 @@ def _tour_case(draw):
     res = draw(st.sampled_from([0.05, 0.1, 0.25, 0.3]))
     width = draw(st.integers(1, 24))
     height = draw(st.integers(1, 24))
-    origin = Pose2D(
-        draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
-        draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
-        draw(_ORIGIN_ANGLES),
-    )
-    grid = OccupancyGrid(width, height, res, origin)
+    grid = OccupancyGrid(width, height, res)
     grid.cells[:] = FREE
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.0, 0.0, 0.05, 0.15, 0.3, 0.5]))
@@ -452,12 +447,10 @@ def _tour_case(draw):
     free = np.flatnonzero(grid.cells.ravel() == FREE)
     assume(len(free) > 0)
     start_cell = divmod(int(free[draw(st.integers(0, len(free) - 1))]), width)[::-1]
-    c, s = math.cos(origin.theta), math.sin(origin.theta)
 
     def to_world(gx, gy):
         # grid coordinates in cells to the map frame
-        gx, gy = gx * res, gy * res
-        return GroundPoint(origin.x + c * gx - s * gy, origin.y + s * gx + c * gy)
+        return GroundPoint(gx * res, gy * res)
 
     def in_cell(cell):
         # the cell center, or anywhere well inside the cell
@@ -711,24 +704,12 @@ def test_approach_goal_decides_the_rim_with_math_hypot(cell, trash, bound):
     assert goal == want
 
 
-_ORIGIN_ANGLES = st.one_of(
-    st.just(0.0),
-    st.sampled_from([math.pi / 2, math.pi / 4, -2.0]),
-    st.floats(-math.pi, math.pi),
-)
-
-
 @st.composite
 def _approach_case(draw):
     res = draw(st.sampled_from([0.05, 0.1, 0.25]))
     width = draw(st.integers(1, 32))
     height = draw(st.integers(1, 32))
-    origin = Pose2D(
-        draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
-        draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
-        draw(_ORIGIN_ANGLES),
-    )
-    grid = OccupancyGrid(width, height, res, origin)
+    grid = OccupancyGrid(width, height, res)
     grid.cells[:] = FREE
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.0, 0.0, 0.05, 0.15, 0.3, 0.5]))
@@ -755,9 +736,7 @@ def _approach_case(draw):
         r0, r1 = max(row - half, 0), min(row + half, height - 1)
         grid.cells[r0 : r1 + 1, [c0, c1]] = OCCUPIED
         grid.cells[[r0, r1], c0 : c1 + 1] = OCCUPIED
-    c, s = math.cos(origin.theta), math.sin(origin.theta)
-    gx, gy = tx * res, ty * res
-    trash = GroundPoint(origin.x + c * gx - s * gy, origin.y + s * gx + c * gy)
+    trash = GroundPoint(tx * res, ty * res)
     free = np.flatnonzero(grid.cells.ravel() == FREE)
     assume(len(free) > 0)
     robot_cell = divmod(int(free[draw(st.integers(0, len(free) - 1))]), width)[::-1]

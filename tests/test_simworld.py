@@ -322,7 +322,7 @@ def test_scan_ranges_hit_walls_and_obstacles():
     cfg = WorldConfig(obstacles=(ob,), trash=(), start=Pose2D(0.6, 0.6, 0.0))
     w = World(cfg, NoiseModel.zero())
     cam = CameraModel()
-    bearings, ranges = w.scan(cam, n_beams=33, max_range=3.5)
+    bearings, ranges = w.scan(cam, n_beams=33, max_range=3.5, poses=[(0.6, 0.6, 0.0)])
     assert bearings.shape == (33,) and ranges.shape == (1, 33)
     # dead ahead
     assert bearings[16] == pytest.approx(0.0)
@@ -330,8 +330,9 @@ def test_scan_ranges_hit_walls_and_obstacles():
     assert (ranges <= 3.5).all()
     # facing the near wall: range is the wall distance
     w2 = empty_world(start=Pose2D(0.6, 0.6, math.pi))
-    assert w2.scan(cam, n_beams=33, max_range=3.5)[1][0, 16] == pytest.approx(0.6)
-    # from given poses, one row each; the robot's own pose is not used
+    _, ranges = w2.scan(cam, n_beams=33, max_range=3.5, poses=[(0.6, 0.6, math.pi)])
+    assert ranges[0, 16] == pytest.approx(0.6)
+    # one row per pose; the robot's own pose is not used
     _, rows = w2.scan(cam, n_beams=33, max_range=3.5, poses=[(0.6, 0.6, 0.0), (0.6, 0.6, math.pi)])
     assert rows[0, 16] == pytest.approx(3.5)  # capped before the far wall
     assert rows[1, 16] == pytest.approx(0.6)
