@@ -26,6 +26,9 @@ JOG_REVERSE = 0.4
 # most cells the occupancy grid may have, about 218 times the default
 # 160 x 120 grid; a finer map_resolution is a config error
 MAX_GRID_CELLS = 2**22
+# most rays one mapping sweep may cast, about 58 times the default 32
+# beams x 2251 scans; a larger n_beams is a config error
+MAX_SWEEP_RAYS = 2**22
 
 
 class ConfigError(ValueError):
@@ -120,6 +123,14 @@ class MissionConfig:
             raise ConfigError("mission.inflate_radius: must be non-negative")
         if self.n_beams < 2:
             raise ConfigError("mission.n_beams: need at least 2 beams")
+        # checked before the sweep casts a ray: it queues a scan at most once
+        # a tick and a scan_interval before max_time; scans may be infinite
+        scans = self.max_time / max(self.scan_interval, self.world.dt) + 1.0
+        if not self.n_beams <= MAX_SWEEP_RAYS / scans:
+            raise ConfigError(
+                f"mission.n_beams: {self.n_beams} beams on each of up to {scans:g} "
+                f"scans exceed the {MAX_SWEEP_RAYS} rays one sweep may cast"
+            )
         for name in (
             "odom_noise_sigma",
             "detect_pos_sigma",

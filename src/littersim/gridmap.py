@@ -18,7 +18,7 @@ common PGM viewers with the usual shading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -28,6 +28,9 @@ UNKNOWN = np.uint8(205)
 
 _MAGIC = b"GRIDMAP v1"
 
+# side of the square window the cleanup morphology uses, in cells
+MORPH_SIZE = 3
+
 
 class FormatError(ValueError):
     """Malformed map file; message carries the byte offset where parsing failed."""
@@ -35,17 +38,6 @@ class FormatError(ValueError):
     def __init__(self, message: str, offset: int = 0):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
-
-
-@dataclass(frozen=True)
-class StructuringElement:
-    """Square morphology element of odd size, size=3 meaning 3x3."""
-
-    size: int = 3
-
-    def __post_init__(self) -> None:
-        if self.size < 1 or self.size % 2 == 0:
-            raise ValueError("structuring element size must be odd and >= 1")
 
 
 class OccupancyGrid:
@@ -100,36 +92,12 @@ def trace_cells(
     intervals from corner touches are dropped, so a segment through a cell
     corner does not pick up the diagonal neighbors it only grazes.  Cells
     outside the grid bounds are omitted; consecutive duplicates collapse.
+    This is `_walk` of the one segment.
     """
-    res = grid.resolution
-    ax, ay = x0 / res, y0 / res
-    bx, by = x1 / res, y1 / res
-    dx = bx - ax
-    dy = by - ay
-    ts = [0.0, 1.0]
-    if abs(dx) > 1e-15:
-        k0 = math.ceil(min(ax, bx))
-        k1 = math.floor(max(ax, bx))
-        for k in range(k0, k1 + 1):
-            ts.append((k - ax) / dx)
-    if abs(dy) > 1e-15:
-        k0 = math.ceil(min(ay, by))
-        k1 = math.floor(max(ay, by))
-        for k in range(k0, k1 + 1):
-            ts.append((k - ay) / dy)
-    ts = sorted(t for t in ts if 0.0 <= t <= 1.0)
-    out: list[tuple[int, int]] = []
-    for i in range(len(ts) - 1):
-        if ts[i + 1] - ts[i] <= 1e-12:
-            continue
-        tm = 0.5 * (ts[i] + ts[i + 1])
-        col = math.floor(ax + tm * dx)
-        row = math.floor(ay + tm * dy)
-        if 0 <= col < grid.width and 0 <= row < grid.height:
-            cell = (col, row)
-            if not out or out[-1] != cell:
-                out.append(cell)
-    return out
+    ends = np.array([[x0], [y0], [x1], [y1]], dtype=float) / grid.resolution
+    cell, kept = _walk(grid, ends[:2], ends[2:])
+    flat = cell[0, kept[0]].astype(np.int64).tolist()
+    return [(c % grid.width, c // grid.width) for c, _ in groupby(flat)]
 
 
 # beams traced together in one pass of `integrate_scan`.  Over 2284 scans
@@ -184,10 +152,11 @@ def integrate_scan(
     ey = py + reach * np.fromiter(map(math.sin, ang), float, len(ang))
 
     # grid-frame robot (a) and beam ends (b) of every beam, and the
-    # cell of each end
-    a = _to_grid(grid, px, py)
-    b = _to_grid(grid, ex, ey)
+    # cells they lie in
+    a = np.array([px, py]) / grid.resolution
+    b = np.array([ex, ey]) / grid.resolution
     _, _, n = _crossings(a, b)
+    start = _flat_cell(grid, a)
     end = _flat_cell(grid, b)
     hit = rng < max_range
 
@@ -199,6 +168,7 @@ def integrate_scan(
     for lo in range(0, len(order), PASS_BEAMS):
         part = order[lo : lo + PASS_BEAMS]
         cell, kept = _walk(grid, a[:, part], b[:, part])
+        kept &= cell != start[part, None]
         free[cell[kept].astype(np.int64)] = True
         # a hit marks the last kept cell, and only when the hit point
         # itself lies in it; a beam clipped at the grid edge ends in
@@ -230,15 +200,13 @@ def trace_many(
     cell `world_to_cell` names.  The other entries are padding, off-grid
     cells or the start cell.
     """
-    a = _to_grid(grid, np.asarray(x0, dtype=float), np.asarray(y0, dtype=float))
-    b = _to_grid(grid, np.asarray(x1, dtype=float), np.asarray(y1, dtype=float))
-    return _walk(grid, a, b)
-
-
-def _to_grid(grid: OccupancyGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Map-frame points as rows x and y in cell units, with `trace_cells`'
-    float operations."""
-    return np.array([x / grid.resolution, y / grid.resolution])
+    a = np.array([x0, y0], dtype=float) / grid.resolution
+    b = np.array([x1, y1], dtype=float) / grid.resolution
+    cell, kept = _walk(grid, a, b)
+    # cells run monotonically away from the start along each segment, so
+    # wherever the start cell is traced it is traced first
+    kept &= cell != _flat_cell(grid, a)[:, None]
+    return cell, kept
 
 
 def _crossings(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,14 +230,13 @@ def _flat_cell(grid: OccupancyGrid, p: np.ndarray) -> np.ndarray:
 
 
 def _walk(grid: OccupancyGrid, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`trace_many` of the grid-frame segments a -> b, with the float
-    operations of `trace_cells` in the same order: each segment's x- and
-    y-gridline crossing parameters (Amanatides & Woo) fill one row, the
-    rows are sorted, and each interval longer than 1e-12 names the cell
-    under its midpoint.  A row holds the crossings of the segment's major
-    axis, the one it crosses more gridlines of, in one block and those of
-    the other axis in a second; each block is padded to its longest
-    run."""
+    """`trace_many` of the grid-frame segments a -> b, with the start
+    cell kept: each segment's ends and x- and y-gridline crossing
+    parameters (Amanatides & Woo) fill one row, the rows are sorted, and
+    each interval longer than 1e-12 names the cell under its midpoint.  A
+    row holds the crossings of the segment's major axis, the one it
+    crosses more gridlines of, in one block and those of the other axis in
+    a second; each block is padded to its longest run."""
     d, k0, n = _crossings(a, b)
     n_seg = a.shape[1]
     width, height = grid.width, grid.height
@@ -302,11 +269,7 @@ def _walk(grid: OccupancyGrid, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray
     rows = np.floor(a[1, :, None] + tm * d[1, :, None])
     kept = hi - lo > 1e-12
     kept &= (0 <= cols) & (cols < width) & (0 <= rows) & (rows < height)
-    cell = rows * width + cols
-    # cells run monotonically away from the start along each segment, so
-    # wherever the start cell is traced it is traced first
-    kept &= cell != _flat_cell(grid, a)[:, None]
-    return cell, kept
+    return rows * width + cols, kept
 
 
 def _window_count(mask: np.ndarray, half: int, axis: int) -> np.ndarray:
@@ -326,40 +289,38 @@ def _window_count(mask: np.ndarray, half: int, axis: int) -> np.ndarray:
     return c[along(2 * half + 1)] - c[along(0, n)]
 
 
-def _dilate(mask: np.ndarray, se: StructuringElement) -> np.ndarray:
-    half = se.size // 2
+def _dilate(mask: np.ndarray) -> np.ndarray:
     for axis in (0, 1):
-        mask = _window_count(mask, half, axis) > 0
+        mask = _window_count(mask, MORPH_SIZE // 2, axis) > 0
     return mask
 
 
-def _erode(mask: np.ndarray, se: StructuringElement) -> np.ndarray:
-    half = se.size // 2
+def _erode(mask: np.ndarray) -> np.ndarray:
     for axis in (0, 1):
-        mask = _window_count(mask, half, axis) == se.size
+        mask = _window_count(mask, MORPH_SIZE // 2, axis) == MORPH_SIZE
     return mask
 
 
-def close_occupied(mask: np.ndarray, se: StructuringElement) -> np.ndarray:
+def close_occupied(mask: np.ndarray) -> np.ndarray:
     """Morphological closing (dilate, then erode) of a boolean mask by the
-    se.size x se.size square.
+    MORPH_SIZE x MORPH_SIZE square.
 
     Out-of-array cells count as False for both passes, so erosion clears
-    every cell within se.size // 2 of the array edge.  The square is the
-    product of two 1-D windows, so each pass runs once per axis: a cell
-    dilates to True when its window holds any True cell and erodes to True
-    when its window holds se.size of them.
+    every cell within MORPH_SIZE // 2 of the array edge.  The square is
+    the product of two 1-D windows, so each pass runs once per axis: a
+    cell dilates to True when its window holds any True cell and erodes to
+    True when its window holds MORPH_SIZE of them.
     """
-    return _erode(_dilate(mask, se), se)
+    return _erode(_dilate(mask))
 
 
-def open_occupied(mask: np.ndarray, se: StructuringElement) -> np.ndarray:
+def open_occupied(mask: np.ndarray) -> np.ndarray:
     """Morphological opening (erode, then dilate) of a boolean mask, with
     the same square and out-of-array rule as `close_occupied`."""
-    return _dilate(_erode(mask, se), se)
+    return _dilate(_erode(mask))
 
 
-def morph_close_open(grid: OccupancyGrid, se: StructuringElement = StructuringElement()) -> OccupancyGrid:
+def morph_close_open(grid: OccupancyGrid) -> OccupancyGrid:
     """Cleanup pass: closing then opening of the occupied set.
 
     Unknown cells take part in the transform as if Occupied, which is what
@@ -373,7 +334,7 @@ def morph_close_open(grid: OccupancyGrid, se: StructuringElement = StructuringEl
     """
     out = grid.copy()
     solid = grid.cells != FREE
-    kept = open_occupied(close_occupied(solid, se), se)
+    kept = open_occupied(close_occupied(solid))
     unknown = grid.cells == UNKNOWN
     out.cells = np.where(
         kept, np.where(unknown, UNKNOWN, OCCUPIED), FREE

@@ -94,6 +94,8 @@ MIN_APPROACH = 1.0
 
 # heading error above which PathFollower turns in place, rad
 ALIGN_THRESHOLD = 0.3
+# heading error within which turning to face a spot stops, rad
+FACE_TOLERANCE = 0.2
 
 
 @dataclass(frozen=True)
@@ -241,8 +243,8 @@ class _Runner:
         self.grid = OccupancyGrid(w, h, cfg.map_resolution)
         self.nav_grid: OccupancyGrid | None = None
         self.cost_field: CostField | None = None
-        # one raw (t, phase, v, omega, mechanism_on, x, y, theta) row per
-        # pickup tick; formatted only when dumped
+        # one raw (pose index, phase, command) row per pickup tick, the
+        # tick's pose being the one stored last; formatted only when dumped
         self.episode_logs: list[list[tuple]] = []
         # poses the mapping sweep scans from, cast and folded into the
         # grid when the sweep ends
@@ -525,16 +527,15 @@ class _Runner:
 
         def command(detections):
             nonlocal state
-            p = robot.believed_pose
-            state, cmd = pickup_step(state, p, detections, pickup_cfg, dt)
-            log.append((world.t, state.phase, cmd.v, cmd.omega, cmd.mechanism_on, p.x, p.y, p.theta))
+            state, cmd = pickup_step(state, robot.believed_pose, detections, pickup_cfg, dt)
+            log.append((len(self.poses) - 1, state.phase, cmd))
             return cmd
 
         self._run(command, accept=self._near(expected), after=finished)
         self.episode_logs.append(log)
         return state.phase is PickupPhase.DONE
 
-    def _rotate_to_face(self, target: GroundPoint, tolerance: float = 0.2) -> None:
+    def _rotate_to_face(self, target: GroundPoint) -> None:
         cfg = self.cfg
 
         def command(_):
@@ -542,7 +543,7 @@ class _Runner:
                 err = angle_to(self.pose, target)
             except CoincidentPoint:
                 return None
-            if abs(err) <= tolerance:
+            if abs(err) <= FACE_TOLERANCE:
                 return None
             return MotionCommand(0.0, turn_toward(err, cfg.turn_rate, cfg.world.dt))
 
@@ -677,7 +678,7 @@ class _Runner:
         os.makedirs(out_dir, exist_ok=True)
         write_report(report, os.path.join(out_dir, "report.txt"))
         write_hypotheses(self.hypotheses, self.cfg.filter, os.path.join(out_dir, "hypotheses.txt"))
-        write_trajectory(self.poses, os.path.join(out_dir, "trajectory.txt"))
+        lines = write_trajectory(self.poses, os.path.join(out_dir, "trajectory.txt"))
         with open(os.path.join(out_dir, "ground_truth.txt"), "w", encoding="utf-8") as fh:
             for ob in self.world.obstacles:
                 fh.write(f"obstacle = {ob.x0!r} {ob.y0!r} {ob.x1!r} {ob.y1!r}\n")
@@ -688,11 +689,10 @@ class _Runner:
                 )
         for i, log in enumerate(self.episode_logs):
             with open(os.path.join(out_dir, f"episode_{i:02d}.txt"), "w", encoding="utf-8") as fh:
-                for t, phase, v, omega, mech, x, y, theta in log:
-                    fh.write(
-                        f"{t!r} {phase.value} {v!r} {omega!r} "
-                        f"{1 if mech else 0} {x!r} {y!r} {theta!r}\n"
-                    )
+                for k, phase, cmd in log:
+                    # quotes the tick's trajectory line: t, then x y theta
+                    t, _, pose = lines[k].partition(" ")
+                    fh.write(f"{t} {phase.value} {cmd.v!r} {cmd.omega!r} {int(cmd.mechanism_on)} {pose}")
 
 
 def write_report(report: MissionReport, path: str) -> None:

@@ -107,9 +107,11 @@ class PoseBuffer:
         )
 
 
-def write_trajectory(poses: Iterable[tuple[float, Pose2D]], path: str) -> None:
+def write_trajectory(poses: Iterable[tuple[float, Pose2D]], path: str) -> list[str]:
     """Dump a trajectory, one `t x y theta` line per `(t, pose)` pair, in
-    one write."""
-    text = "".join([f"{t!r} {p.x!r} {p.y!r} {p.theta!r}\n" for t, p in poses])
+    one write.  Returns the lines, newline included, so other dumps can
+    quote a pose without formatting it again."""
+    lines = [f"{t!r} {p.x!r} {p.y!r} {p.theta!r}\n" for t, p in poses]
     with open(path, "w", encoding="ascii") as f:
-        f.write(text)
+        f.write("".join(lines))
+    return lines

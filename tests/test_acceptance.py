@@ -35,7 +35,6 @@ from littersim.gridmap import (
     OCCUPIED,
     UNKNOWN,
     OccupancyGrid,
-    StructuringElement,
     close_occupied,
     morph_close_open,
     open_occupied,
@@ -325,7 +324,6 @@ def _brute_erode(mask: np.ndarray) -> np.ndarray:
 
 def test_criterion_06_morphology_matches_brute_force():
     rng = np.random.default_rng(6)
-    se = StructuringElement()
     stage_bad = 0
     composite_bad = 0
     idem_bad = 0
@@ -338,15 +336,15 @@ def test_criterion_06_morphology_matches_brute_force():
         grid = OccupancyGrid(40, 40, 0.05)
         grid.cells = cells.copy()
         mask = cells != FREE
-        closed = close_occupied(mask, se)
-        opened = open_occupied(mask, se)
+        closed = close_occupied(mask)
+        opened = open_occupied(mask)
         if not (closed == _brute_erode(_brute_dilate(mask))).all():
             stage_bad += 1
         if not (opened == _brute_dilate(_brute_erode(mask))).all():
             stage_bad += 1
-        if not (close_occupied(closed, se) == closed).all():
+        if not (close_occupied(closed) == closed).all():
             idem_bad += 1
-        if not (open_occupied(opened, se) == opened).all():
+        if not (open_occupied(opened) == opened).all():
             idem_bad += 1
         kept = _brute_dilate(_brute_erode(_brute_erode(_brute_dilate(mask))))
         want = np.where(

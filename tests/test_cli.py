@@ -270,6 +270,11 @@ def test_unknown_override_key_exits_1(tmp_path, capsys):
             "mission.nav_speed: a drive along the arena diagonal takes 1000 s, longer than "
             "mission.max_time 600.0",
         ),
+        (
+            "mission.n_beams = 1000000000000\n",
+            "mission.n_beams: 1000000000000 beams on each of up to 2251 scans exceed "
+            "the 4194304 rays one sweep may cast",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["run", "map", "batch"])

@@ -258,9 +258,10 @@ def test_pickup_align_tolerance_must_be_positive(value):
     "overrides, count",
     [
         ({"mission.map_resolution": ["0.001"]}, "48000000 grid cells over the arena"),
-        # one cell more than the cap: 2048 x 2049
+        # one cell more than the cap: 2048 x 2049; 6000 s lets a drive
+        # along its 2897-m diagonal finish
         ({"world.arena_w": ["2048"], "world.arena_h": ["2048.5"],
-          "mission.map_resolution": ["1"], "mission.max_time": ["1e9"]},
+          "mission.map_resolution": ["1"], "mission.max_time": ["6000"]},
          "4196352 grid cells over the arena"),
         # a side alone over the cap; its ratio to the resolution is infinite
         ({"mission.map_resolution": ["1e-300"]}, "over 4194304 grid cells along a side"),
@@ -277,10 +278,37 @@ def test_map_resolution_over_the_cell_cap_is_a_config_error(overrides, count):
     ):
         build_config(overrides)
     at_cap = {"world.arena_w": ["2048"], "world.arena_h": ["2048"],
-              "mission.map_resolution": ["1"], "mission.max_time": ["1e9"]}
+              "mission.map_resolution": ["1"], "mission.max_time": ["6000"]}
     assert build_config(at_cap).grid_shape == (2048, 2048)
     assert config.MAX_GRID_CELLS == 2048 * 2048
     assert build_config({}).grid_shape == (160, 120)
+
+
+@pytest.mark.parametrize(
+    "overrides, scans",
+    [
+        ({"mission.n_beams": ["1000000000000"]}, "2251"),
+        # one beam more than the default 2251 scans allow
+        ({"mission.n_beams": ["1864"]}, "2251"),
+        # a scan at most every tick of 0.01 s: 47 x 90001 rays
+        ({"mission.n_beams": ["47"], "world.dt": ["0.01"], "mission.scan_interval": ["0.001"]},
+         "90001"),
+        # the bound on scans overflows to infinity
+        ({"world.dt": ["5e-324"], "mission.scan_interval": ["5e-324"]}, "inf"),
+    ],
+    ids=["huge", "cap+1", "per_tick", "infinite"],
+)
+def test_n_beams_over_the_ray_cap_is_a_config_error(overrides, scans):
+    # the config rejects the sweep before anything casts a ray; no scan is
+    # run here
+    with pytest.raises(
+        ConfigError,
+        match=rf"^mission.n_beams: \d+ beams on each of up to {scans} scans exceed "
+        rf"the {config.MAX_SWEEP_RAYS} rays one sweep may cast$",
+    ):
+        build_config(overrides)
+    assert build_config({"mission.n_beams": ["1863"]}).n_beams == 1863
+    assert config.MAX_SWEEP_RAYS == 2**22
 
 
 def _dataclass_default(key: str):

@@ -10,8 +10,10 @@ CHANGES.md.
 Besides the default missions, the table pins the branches the default
 seeds never reach: seed 7 stalls twice while navigating (reverse, replan,
 then `Unreachable`), and a shortened `mission.max_time` ends seed 0 in the
-middle of the sweep (60 s) or of the collection phase (150 s).  A 2-seed
-batch pins `runs.csv` and `aggregate.csv`.
+middle of the sweep (60 s) or of the collection phase (150 s).  With
+`pickup.reidentify` off, seed 0 skips every look-back, so frames captured
+in one pickup episode are drained in the next, after a navigation leg.  A
+2-seed batch pins `runs.csv` and `aggregate.csv`.
 """
 
 import hashlib
@@ -30,6 +32,7 @@ MODES = {
     "pickup_trial": {"mission.scenario": ["pickup_trial"]},
     "max_time_60": {"mission.max_time": ["60"]},
     "max_time_150": {"mission.max_time": ["150"]},
+    "reidentify_off": {"pickup.reidentify": ["false"]},
 }
 
 # (mode, seed) -> sha256 of report.txt, map.grid, hypotheses.txt
@@ -57,6 +60,11 @@ GOLDEN = {
     ),
     ("max_time_150", 0): (
         "a39d063ca60a1fa73716acb2f0b5d522497f6611e88aefaabe73587de7718c81",
+        "fb3c769e24429b11b964cce0785cdb7f70b7d100de09e4950cf7d5d5101e2f77",
+        "f5ba5a8935633194e56a87b1b44d79d0b01689f12b000e0a349612252b98d1fd",
+    ),
+    ("reidentify_off", 0): (
+        "3992b0447870164e08be372087455d3e8422dce3707c308f8c6c2e38f9ede992",
         "fb3c769e24429b11b964cce0785cdb7f70b7d100de09e4950cf7d5d5101e2f77",
         "f5ba5a8935633194e56a87b1b44d79d0b01689f12b000e0a349612252b98d1fd",
     ),
@@ -107,6 +115,13 @@ DUMPS = {
         "episode_01.txt": "d2195a702490c123aff6f4bb691fd3fe36a1f5806b1c4868ffdfd80b11a45d8d",
         "ground_truth.txt": "e06446f2b63ae66ee4e242241bcb2b5bd80c847564f9462b809fd69c4fe95f7d",
         "trajectory.txt": "2b7967ed4275f902ebb0c3590f8b9be49753b1d054d0abc2b3b9d0c7fcc4e39c",
+    },
+    ("reidentify_off", 0): {
+        "episode_00.txt": "f16aa609cd7bb8c566cb0ee868e0e69b3eb8804129912e038c08e028056ac431",
+        "episode_01.txt": "e57d4d8bf421e80d850089bd2d00c0a501223f32f710be8a7c3a77e00f5a7cdd",
+        "episode_02.txt": "c733a5e347d95685ff6ec048d316d29cfa31a9e1e2b4c6e50ae143bd4446e43b",
+        "ground_truth.txt": "e06446f2b63ae66ee4e242241bcb2b5bd80c847564f9462b809fd69c4fe95f7d",
+        "trajectory.txt": "fc56c9fed1e6bc33124624b1581d034958878c8ed34ff10fc0704cd671f21f55",
     },
     ("zero_noise", 1): {
         "episode_00.txt": "e2e0aee57c5265bcc83a677852e0493315fd240eff743f715a71b9095417250a",

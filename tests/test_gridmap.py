@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+import reference_walk
 from littersim import gridmap
 from littersim.geometry import Pose2D
 from littersim.gridmap import (
@@ -14,7 +15,6 @@ from littersim.gridmap import (
     UNKNOWN,
     FormatError,
     OccupancyGrid,
-    StructuringElement,
     close_occupied,
     inflate,
     integrate_scan,
@@ -145,12 +145,15 @@ def _segment_case(draw):
     return OccupancyGrid(width, height, res), tuple(ends)
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(_segment_case())
 # x runs from 5.0 to 4.999999999999999, an extent under 1e-15 cells, so
 # the segment is walked as if parallel to the y axis and its first three
 # cells land in column 5, which only its start point t = 0 touches
-@example((OccupancyGrid(10, 10, 1.0), (5.0, 0.0, 4.999999999999999, 5.0)))
+_NEAR_AXIS = (OccupancyGrid(10, 10, 1.0), (5.0, 0.0, 4.999999999999999, 5.0))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_segment_case())
+@example(_NEAR_AXIS)
 def test_trace_cells_matches_brute_force_overlap(case):
     grid, (x0, y0, x1, y1) = case
     got = trace_cells(grid, x0, y0, x1, y1)
@@ -185,6 +188,19 @@ def test_trace_cells_matches_brute_force_overlap(case):
             t0, t1 = _overlap_interval(ax, ay, bx, by, col, row, 1.0, inset=1e-9)
             if (t1 - t0) * length > 1e-9:
                 assert (col, row) in got
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_segment_case())
+@example(_NEAR_AXIS)
+# an x extent of 1e-13 cells across the x = 5 gridline, over the 1e-15
+# parallel cut: the walk turns from column 4 to column 5 halfway
+@example((OccupancyGrid(10, 10, 1.0), (5.0 - 5e-14, 0.0, 5.0 + 5e-14, 5.0)))
+def test_trace_cells_equals_the_reference_walk(case):
+    # the one-segment view of the batched walk reports exactly the cells
+    # of the plain-float walk, in the same order
+    grid, ends = case
+    assert trace_cells(grid, *ends) == reference_walk.trace_cells(grid, *ends)
 
 
 def fold_scan(grid, robot, scan, max_range):
@@ -232,15 +248,15 @@ def test_integrate_scan_never_demotes_occupied():
 
 
 def integrate_scan_per_beam(grid, robot, scan):
-    """Reference scan integration: one `trace_cells` walk and one cell
-    write at a time, beam after beam."""
+    """Reference scan integration: one walk of `reference_walk` and one
+    cell write at a time, beam after beam."""
     for bearing, rng, max_range in scan:
         hit = rng < max_range
         reach = min(rng, max_range)
         ang = robot.theta + bearing
         ex = robot.x + reach * math.cos(ang)
         ey = robot.y + reach * math.sin(ang)
-        cells = trace_cells(grid, robot.x, robot.y, ex, ey)
+        cells = reference_walk.trace_cells(grid, robot.x, robot.y, ex, ey)
         if cells and cells[0] == grid.world_to_cell(robot.x, robot.y):
             cells = cells[1:]
         if not cells:
@@ -415,22 +431,20 @@ def test_integrate_scan_folds_a_sequence_like_one_scan_at_a_time(total, data):
 
 def test_morphology_stages_match_brute_force():
     rng = np.random.default_rng(11)
-    se = StructuringElement(3)
     for _ in range(25):
         mask = rng.uniform(size=(20, 20)) < 0.3
-        assert (close_occupied(mask, se) == brute_erode(brute_dilate(mask, 1), 1)).all()
-        assert (open_occupied(mask, se) == brute_dilate(brute_erode(mask, 1), 1)).all()
+        assert (close_occupied(mask) == brute_erode(brute_dilate(mask, 1), 1)).all()
+        assert (open_occupied(mask) == brute_dilate(brute_erode(mask, 1), 1)).all()
 
 
 def test_morphology_stage_idempotence():
     rng = np.random.default_rng(13)
-    se = StructuringElement(3)
     for _ in range(25):
         mask = rng.uniform(size=(24, 24)) < 0.35
-        closed = close_occupied(mask, se)
-        assert (close_occupied(closed, se) == closed).all()
-        opened = open_occupied(mask, se)
-        assert (open_occupied(opened, se) == opened).all()
+        closed = close_occupied(mask)
+        assert (close_occupied(closed) == closed).all()
+        opened = open_occupied(mask)
+        assert (open_occupied(opened) == opened).all()
 
 
 def test_morph_close_open_unknown_semantics():
@@ -497,14 +511,14 @@ def test_inflate_zero_radius_is_copy():
         inflate(g, -0.1)
 
 
-def ndimage_close(mask, size):
+def ndimage_close(mask):
     """Closing as `close_occupied` computed it with scipy.ndimage."""
-    fp = np.ones((size, size), dtype=bool)
+    fp = np.ones((3, 3), dtype=bool)
     return ndimage.binary_erosion(ndimage.binary_dilation(mask, fp), fp)
 
 
-def ndimage_open(mask, size):
-    fp = np.ones((size, size), dtype=bool)
+def ndimage_open(mask):
+    fp = np.ones((3, 3), dtype=bool)
     return ndimage.binary_dilation(ndimage.binary_erosion(mask, fp), fp)
 
 
@@ -539,11 +553,10 @@ def _mask(draw):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(_mask(), st.sampled_from([1, 3, 5, 7]))
-def test_morphology_equals_ndimage_reference(mask, size):
-    se = StructuringElement(size)
-    assert np.array_equal(close_occupied(mask, se), ndimage_close(mask, size))
-    assert np.array_equal(open_occupied(mask, se), ndimage_open(mask, size))
+@given(_mask())
+def test_morphology_equals_ndimage_reference(mask):
+    assert np.array_equal(close_occupied(mask), ndimage_close(mask))
+    assert np.array_equal(open_occupied(mask), ndimage_open(mask))
 
 
 def _bound_on_ring(n, res):
@@ -639,10 +652,3 @@ def test_load_map_format_errors(tmp_path):
     p.write_bytes(b"GRIDMAP v1 2 2 0.05 0 0 0\n" + bytes([FREE, OCCUPIED, UNKNOWN, 99]))
     with pytest.raises(FormatError):
         load_map(str(p))
-
-
-def test_structuring_element_validation():
-    with pytest.raises(ValueError):
-        StructuringElement(2)
-    with pytest.raises(ValueError):
-        StructuringElement(-1)

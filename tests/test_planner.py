@@ -11,7 +11,8 @@ from scipy.sparse.csgraph import connected_components
 
 from littersim.geometry import GroundPoint, Pose2D
 from littersim import planner
-from littersim.gridmap import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, trace_cells
+from littersim.gridmap import FREE, OCCUPIED, UNKNOWN, OccupancyGrid
+from reference_walk import trace_cells
 from littersim.planner import (
     COST_TIE,
     CostField,
@@ -782,9 +783,9 @@ def test_approach_goal_equals_row_major_reference(case):
 
 
 def line_of_sight(grid, x, y, trash, tcell):
-    """The per-candidate sight test `_lines_of_sight` batches: one
-    `trace_cells` walk from (x, y) to the trash, every traced cell Free
-    but the start cell and the trash cell."""
+    """The per-candidate sight test `_lines_of_sight` batches: one walk of
+    `reference_walk.trace_cells` from (x, y) to the trash, every traced
+    cell Free but the start cell and the trash cell."""
     start = grid.world_to_cell(x, y)
     return all(
         grid.cells[cell[1], cell[0]] == FREE
