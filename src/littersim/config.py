@@ -29,6 +29,9 @@ MAX_GRID_CELLS = 2**22
 # most rays one mapping sweep may cast, about 58 times the default 32
 # beams x 2251 scans; a larger n_beams is a config error
 MAX_SWEEP_RAYS = 2**22
+# most ticks of world.dt that mission.max_time may span, about 58 times the
+# default 900 s / 0.05 s = 18000; a smaller dt is a config error
+MAX_TICKS = 2**20
 
 
 class ConfigError(ValueError):
@@ -130,6 +133,13 @@ class MissionConfig:
             raise ConfigError(
                 f"mission.n_beams: {self.n_beams} beams on each of up to {scans:g} "
                 f"scans exceed the {MAX_SWEEP_RAYS} rays one sweep may cast"
+            )
+        # checked before any tick runs; the ratio may be infinite
+        ticks = self.max_time / self.world.dt
+        if not ticks <= MAX_TICKS:
+            raise ConfigError(
+                f"world.dt: {self.world.dt!r} s needs {ticks:g} ticks to reach "
+                f"mission.max_time {self.max_time!r}; at most {MAX_TICKS} are allowed"
             )
         for name in (
             "odom_noise_sigma",

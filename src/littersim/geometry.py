@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 TWO_PI = 2.0 * math.pi
+_PI = math.pi
 
 
 class GeometryError(ValueError):
@@ -51,10 +52,11 @@ class GroundPoint:
 class Pose2D:
     """Planar pose (x, y, theta) with theta normalized on construction.
 
-    Poses are built on every simulation tick, so `__init__` wraps theta
-    before its one store and writes each field once through its slot
-    descriptor; equality, repr, hash and `dataclasses.replace` are the
-    dataclass's own.
+    Poses are built on every simulation tick, so `__init__` writes each
+    field once through its slot descriptor, and wraps theta only when it
+    lies outside (-pi, pi]: inside, `wrap_angle` returns it unchanged, so
+    the stored bits are the same either way.  Equality, repr, hash and
+    `dataclasses.replace` are the dataclass's own.
     """
 
     x: float
@@ -64,7 +66,7 @@ class Pose2D:
     def __init__(self, x: float, y: float, theta: float = 0.0) -> None:
         _set_x(self, x)
         _set_y(self, y)
-        _set_theta(self, wrap_angle(theta))
+        _set_theta(self, theta if -_PI < theta <= _PI else wrap_angle(theta))
 
     @property
     def position(self) -> GroundPoint:

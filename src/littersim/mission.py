@@ -26,7 +26,9 @@ they choose and in what they sense:
 - navigation, collection-phase reversing and turning to face a spot
   sense nothing;
 - pickup episodes and the look-back after one capture frames and drain
-  the ready ones through a filter on the expected item position.
+  the ready ones through a filter on the expected item position; a
+  pickup episode projects them only while its FSM spin-searches, the one
+  phase that reads them, and after the lock pops them unread.
 
 Nothing reads the grid before the sweep ends, and folding scans into it
 is a join that does not depend on their order.  The range scanner is
@@ -48,9 +50,10 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Sequence
+from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
-from itertools import count, product
+from itertools import count, islice, product
 
 import numpy as np
 
@@ -72,7 +75,8 @@ from .geometry import (
     project_detection,
 )
 from .gridmap import FREE, OccupancyGrid, inflate, integrate_scan, morph_close_open, save_map
-from .pickup import STOP, MotionCommand, PickupPhase, TooFar, start_pickup, turn_toward
+from .pickup import _DONE, _SPIN_SEARCH, _TIMED_OUT, STOP, MotionCommand, TooFar, start_pickup
+from .pickup import turn_toward
 from .pickup import step as pickup_step
 from .planner import CostField, StartOccupied, approach_goal, astar, order_waypoints
 from .posebuffer import OutOfRange, PoseBuffer, write_trajectory
@@ -243,8 +247,9 @@ class _Runner:
         self.grid = OccupancyGrid(w, h, cfg.map_resolution)
         self.nav_grid: OccupancyGrid | None = None
         self.cost_field: CostField | None = None
-        # one raw (pose index, phase, command) row per pickup tick, the
-        # tick's pose being the one stored last; formatted only when dumped
+        # when the run is dumped, one raw (pose index, phase, command) row
+        # per pickup tick, the tick's pose being the one stored last;
+        # formatted only by `dump`
         self.episode_logs: list[list[tuple]] = []
         # poses the mapping sweep scans from, cast and folded into the
         # grid when the sweep ends
@@ -263,7 +268,8 @@ class _Runner:
         return self.world.t >= self.cfg.max_time
 
     def _run(
-        self, command, *, mapping: bool = False, accept=None, after=None, ticks: int | None = None
+        self, command, *, mapping: bool = False, accept=None, reads=None, after=None,
+        ticks: int | None = None,
     ) -> str | None:
         """The tick loop every motion runs in.
 
@@ -277,9 +283,11 @@ class _Runner:
         runs only when it is due: a frame capture once `_next_frame` is
         reached, a drain once the frame queue's earliest ready time is,
         and a queued scan once `_next_scan` is; on other ticks the
-        schedules are only compared.  `ticks` bounds a fixed move.
-        Returns TIMED_OUT when max_time ran out, the reason `after` gave,
-        or None.
+        schedules are only compared.  When `reads()` says `command` will
+        not read this tick's detections, the ready frames are popped
+        unprojected and `command` gets none.  `ticks` bounds a fixed
+        move.  Returns TIMED_OUT when max_time ran out, the reason `after`
+        gave, or None.
         """
         world = self.world
         robot = world.robot
@@ -296,7 +304,13 @@ class _Runner:
             elif accept is not None:
                 if t >= self._next_frame:
                     self._capture_frame()
-                detections = self._drain(t, accept) if t >= frames.earliest else []
+                if t < frames.earliest:
+                    detections = []
+                elif reads is None or reads():
+                    detections = self._drain(t, accept)
+                else:
+                    frames.pop_ready(t)
+                    detections = []
             cmd = command(detections)
             if cmd is None:
                 return None
@@ -506,7 +520,9 @@ class _Runner:
 
     def _pickup_episode(self, state, expected: GroundPoint) -> bool:
         """Run one pickup FSM episode to a terminal phase (or the hard
-        cap), logging every step as a raw tuple; True if it ended DONE."""
+        cap); True if it ended DONE.  Frames are projected only while the
+        FSM spin-searches, the one phase that reads detections.  When the
+        run is dumped, every step is logged as a raw tuple."""
         cfg = self.cfg
         dt = cfg.world.dt
         world = self.world
@@ -519,21 +535,28 @@ class _Runner:
             + 2.0 * math.pi / cfg.pickup.spin_rate
             + 5.0
         )
-        log: list[tuple] = []
+        log: list[tuple] | None = [] if cfg.output_dir else None
+        terminal = (_DONE, _TIMED_OUT)
 
         def finished() -> bool:
-            terminal = state.phase in (PickupPhase.DONE, PickupPhase.TIMED_OUT)
-            return terminal or world.t - t0 >= cap
+            return state.phase in terminal or world.t - t0 >= cap
 
         def command(detections):
             nonlocal state
             state, cmd = pickup_step(state, robot.believed_pose, detections, pickup_cfg, dt)
-            log.append((len(self.poses) - 1, state.phase, cmd))
+            if log is not None:
+                log.append((len(self.poses) - 1, state.phase, cmd))
             return cmd
 
-        self._run(command, accept=self._near(expected), after=finished)
-        self.episode_logs.append(log)
-        return state.phase is PickupPhase.DONE
+        self._run(
+            command,
+            accept=self._near(expected),
+            reads=lambda: state.phase is _SPIN_SEARCH,
+            after=finished,
+        )
+        if log is not None:
+            self.episode_logs.append(log)
+        return state.phase is _DONE
 
     def _rotate_to_face(self, target: GroundPoint) -> None:
         cfg = self.cfg
@@ -800,18 +823,77 @@ def _write_csv(path: str, cols: list[str], rows: list[dict]) -> None:
             fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
 
 
+def _batch_row(task: tuple[dict[str, list[str]], int, tuple[tuple[str, str], ...]]) -> dict:
+    """Run one batch mission from its raw config, seed and sweep point, a
+    tuple of (key, value) pairs; returns its runs.csv row.  A mission's
+    ConfigError is raised again naming the seed and the sweep point."""
+    raw_run, seed, point = task
+    cfg = build_config(raw_run)
+    try:
+        report = run_mission(cfg)
+    except ConfigError as exc:
+        where = "".join(f", {k}={v}" for k, v in point)
+        raise ConfigError(f"seed {seed}{where}: {exc}") from None
+    return {
+        "seed": seed,
+        **dict(point),
+        "success": report.success,
+        "n_collected": report.n_collected,
+        "n_trash": report.n_trash,
+        "mean_map_error_m": report.mean_map_error,
+        "wall_time_s": report.wall_time,
+    }
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pool_map(fn, items: Iterator, workers: int) -> Iterator:
+    """`map(fn, items)` over a pool of `workers` processes, yielding results
+    in the order of `items`.  At most 2 x `workers` items are submitted ahead
+    of the one yielded next, so a long `items` costs no memory.  The first
+    exception in that order is raised, and the items not yet started are
+    cancelled.  Workers are spawned, not forked, so they start from a
+    fresh import whatever threads this process runs."""
+    # imported here, so a run that starts no pool does not pay for it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        ahead: deque = deque()
+        for item in items:
+            ahead.append(pool.submit(fn, item))
+            if len(ahead) >= 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_batch(
     raw: dict[str, list[str]],
     seeds: Sequence[int],
     sweep: list[tuple[str, list[str]]],
     out_dir: str | None = None,
 ) -> tuple[list[dict], list[dict]]:
-    """Run every sweep-point x seed combination sequentially.
+    """Run every sweep-point x seed combination, seeds innermost.
 
     Returns (rows, aggregates) and, when out_dir is set, writes runs.csv
     (one row per run) and aggregate.csv (one row per sweep point).  The
     seeds come from `seeds` alone, so sweeping `world.seed` is a
-    ConfigError, and so is sweeping one key twice.
+    ConfigError, and so is sweeping one key twice.  A batch of more than
+    one mission on a machine that lets this process use more than one CPU
+    runs its missions in a pool of spawned processes, one per CPU or per
+    mission, whichever is fewer; the rows, the files and the first error
+    raised are those of a sequential run.  A script that calls this needs
+    the `if __name__ == "__main__":` guard spawned processes ask for.
     """
     if not seeds:
         raise ConfigError("seeds must be non-empty")
@@ -822,32 +904,24 @@ def run_batch(
     if repeated:
         raise ConfigError(f"sweep key {repeated[0]!r} is given more than once")
     combos = list(product(*(values for _, values in sweep)))
+
+    def tasks() -> Iterator:
+        for combo in combos:
+            point = tuple(zip(sweep_keys, combo))
+            for seed in seeds:
+                raw_run = dict(raw)
+                for key, value in point:
+                    apply_override(raw_run, key, value)
+                apply_override(raw_run, "world.seed", str(seed))
+                yield raw_run, seed, point
+
+    workers = min(_usable_cpus(), len(combos) * len(seeds))
+    results = map(_batch_row, tasks()) if workers == 1 else _pool_map(_batch_row, tasks(), workers)
     rows: list[dict] = []
     aggregates: list[dict] = []
     for combo in combos:
-        combo_rows: list[dict] = []
-        for seed in seeds:
-            raw_run = dict(raw)
-            for key, value in zip(sweep_keys, combo):
-                apply_override(raw_run, key, value)
-            apply_override(raw_run, "world.seed", str(seed))
-            cfg = build_config(raw_run)
-            try:
-                report = run_mission(cfg)
-            except ConfigError as exc:
-                point = "".join(f", {k}={v}" for k, v in zip(sweep_keys, combo))
-                raise ConfigError(f"seed {seed}{point}: {exc}") from None
-            row = {"seed": seed}
-            row.update(zip(sweep_keys, combo))
-            row.update(
-                success=report.success,
-                n_collected=report.n_collected,
-                n_trash=report.n_trash,
-                mean_map_error_m=report.mean_map_error,
-                wall_time_s=report.wall_time,
-            )
-            rows.append(row)
-            combo_rows.append(row)
+        combo_rows = list(islice(results, len(seeds)))
+        rows.extend(combo_rows)
         n = len(combo_rows)
         agg = dict(zip(sweep_keys, combo))
         agg.update(

@@ -46,6 +46,12 @@ class PickupPhase(Enum):
     TIMED_OUT = "timed_out"
 
 
+# the members `step` and the mission's pickup episode compare against on
+# every tick, bound once: looking a member up on the enum class costs about
+# ten times a global lookup
+_SPIN_SEARCH, _ALIGN, _DRIVE_THROUGH, _DONE, _TIMED_OUT = PickupPhase
+
+
 @dataclass(frozen=True)
 class PickupConfig:
     """Tunables for one pickup episode.
@@ -98,7 +104,7 @@ class PickupConfig:
         return MotionCommand(0.0, -self.spin_rate)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MotionCommand:
     """One tick of base + mechanism actuation."""
 
@@ -116,7 +122,7 @@ def turn_toward(err: float, rate: float, dt: float) -> float:
     return math.copysign(min(rate, abs(err) / dt), err) if err else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PickupState:
     """FSM snapshot.  locked_target/drive_goal/axis are set together on lock
     and never change afterwards; axis is the unit approach direction used
@@ -203,33 +209,33 @@ def step(
         raise ValueError("dt must be positive")
     phase = state.phase
 
-    if phase is PickupPhase.SPIN_SEARCH:
+    if phase is _SPIN_SEARCH:
         for point, conf in detections:
             if conf >= cfg.confidence_threshold:
                 return _lock(state, robot, point, cfg), STOP
         elapsed = state.elapsed + dt
         if elapsed > cfg.timeout:
-            return state._next(PickupPhase.TIMED_OUT, elapsed), STOP
+            return state._next(_TIMED_OUT, elapsed), STOP
         spin = cfg.spin_left if state.spin_omega > 0.0 else cfg.spin_right
         return state._next(phase, elapsed), spin
 
-    if phase is PickupPhase.ALIGN:
+    if phase is _ALIGN:
         assert state.drive_goal is not None
         try:
             err = angle_to(robot, state.drive_goal)
         except CoincidentPoint:
             err = 0.0  # already on top of the goal; the drive-past test ends it
         if abs(err) <= cfg.align_tolerance:
-            return state._next(PickupPhase.DRIVE_THROUGH, state.elapsed), cfg.drive_command
+            return state._next(_DRIVE_THROUGH, state.elapsed), cfg.drive_command
         return state, MotionCommand(0.0, turn_toward(err, cfg.spin_rate, dt))
 
-    if phase is PickupPhase.DRIVE_THROUGH:
+    if phase is _DRIVE_THROUGH:
         ux, uy = state.axis  # type: ignore[misc]
         goal = state.drive_goal
         assert goal is not None
         past = (robot.x - goal.x) * ux + (robot.y - goal.y) * uy
         if past >= 0.0:
-            return state._next(PickupPhase.DONE, state.elapsed), STOP
+            return state._next(_DONE, state.elapsed), STOP
         return state, cfg.drive_command
 
     return state, STOP

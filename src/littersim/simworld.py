@@ -300,6 +300,8 @@ class World:
             ]
         )[..., None]
         self.robot = RobotState(cfg.start, cfg.start)
+        # step_world's two odometry noise draws land here
+        self._odom_z = np.empty(2)
         self.t = 0.0
         self.last_contact = False
 
@@ -385,11 +387,14 @@ class World:
         if moving and nz.odom_noise_sigma > 0.0:
             # wheel measurement noise, present only while the wheels turn;
             # 0.0 + sigma * z is the draw `rng.normal(0.0, sigma)` makes,
-            # at about half its cost
+            # at about half its cost, and one draw of both z into the
+            # buffer gives the values and generator state of two scalar
+            # draws, at less than their cost
             sigma = nz.odom_noise_sigma
-            normal = self.rng.standard_normal
-            bv += 0.0 + sigma * normal()
-            bo += 0.0 + sigma * normal()
+            self.rng.standard_normal(out=self._odom_z)
+            zv, zo = self._odom_z.tolist()
+            bv += 0.0 + sigma * zv
+            bo += 0.0 + sigma * zo
         if pinned:
             robot.believed_pose = robot.true_pose
         else:
@@ -539,12 +544,14 @@ class World:
         self, pix: tuple[float, float, float], gr: float, cam: CameraModel
     ) -> BoundingBox | None:
         nz = self.noise
+        normal = self.rng.standard_normal
         u_c, v_c, depth = pix
+        # 0.0 + sigma * z is the draw `rng.normal(0.0, sigma)` makes
         if nz.pixel_sigma > 0.0:
-            u_c += self.rng.normal(0.0, nz.pixel_sigma)
-            v_c += self.rng.normal(0.0, nz.pixel_sigma)
+            u_c += 0.0 + nz.pixel_sigma * normal()
+            v_c += 0.0 + nz.pixel_sigma * normal()
         if nz.depth_sigma_per_meter > 0.0:
-            depth += self.rng.normal(0.0, nz.depth_sigma_per_meter * gr)
+            depth += 0.0 + (nz.depth_sigma_per_meter * gr) * normal()
         depth = max(depth, cam.mount_height)
         # apparent half-size of a nominal object at this range
         fx = cam.image_width / (2.0 * math.tan(0.5 * cam.hfov))
@@ -559,7 +566,7 @@ class World:
     def conf_sample(self, ground_range: float) -> float:
         mu = self.noise.conf_mu(ground_range)
         if self.noise.conf_sigma > 0.0:
-            mu += self.rng.normal(0.0, self.noise.conf_sigma)
+            mu += 0.0 + self.noise.conf_sigma * self.rng.standard_normal()
         return min(max(mu, 0.0), 1.0)
 
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import littersim
+from littersim import cli, mission
 from littersim.cli import _parse_seeds, _parse_sweep, main
 from littersim.config import ConfigError
 from littersim.gridmap import load_map
@@ -336,3 +337,62 @@ def test_vanishing_rates_never_give_a_traceback(tmp_path, text):
     else:
         assert out.returncode == 1
         assert out.stderr.startswith("config error: ")
+
+
+@pytest.mark.parametrize("dt", ["1e-9", "1e-300"])
+@pytest.mark.parametrize("command", ["run", "map", "batch"])
+def test_a_dt_over_the_tick_cap_exits_1_before_any_mission(tmp_path, capsys, monkeypatch, dt, command):
+    # such a mission would never end; the config rejects it before it starts
+    def no_mission(cfg):
+        raise AssertionError("a mission ran")
+
+    for module, name in ((cli, "run_mission"), (cli, "run_mapping"), (mission, "run_mission")):
+        monkeypatch.setattr(module, name, no_mission)
+    # one CPU keeps a batch's missions in this process, where the stub is
+    monkeypatch.setattr(mission, "_usable_cpus", lambda: 1)
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text(f"world.dt = {dt}\n", encoding="utf-8")
+    extra = {"run": [], "map": ["--out", str(tmp_path / "m.grid")], "batch": ["--seeds", "0..1"]}
+    code = main([command, "--config", str(cfg), *extra[command]])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"config error: world.dt: {float(dt)!r} s needs ")
+    assert "Traceback" not in err
+
+
+def test_parallel_batch_prints_what_a_sequential_one_prints(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "trial.cfg"
+    cfg.write_text(TRIAL_CFG, encoding="utf-8")
+    printed = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        args = ["batch", "--config", str(cfg), "--seeds", "0..4", "--out", str(out)]
+        assert main([*args, "--sweep", "mission.trial_distance=0.5,2.0"]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        files = [(out / name).read_bytes() for name in ("runs.csv", "aggregate.csv")]
+        printed.append((stdout, files))
+    assert printed[0] == printed[1]
+
+
+@pytest.mark.parametrize("seeds", ["0..3", f"0..{10**12}"])
+def test_parallel_batch_names_the_first_failing_seed_a_sequential_one_names(
+    tmp_path, capsys, monkeypatch, seeds
+):
+    # the runs at obstacle_count 0 succeed and every run at 60 fails; both
+    # orders name the first failure in sweep order.  With 10**12 seeds per
+    # point the failure is the first run, and only a few runs are ever
+    # submitted
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_MAP_CFG, encoding="utf-8")
+    sweep = "world.obstacle_count=0,60" if seeds == "0..3" else "world.obstacle_count=60"
+    errors = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
+        code = main(["batch", "--config", str(cfg), "--seeds", seeds, "--sweep", sweep])
+        assert code == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(
+        "config error: seed 0, world.obstacle_count=60: world layout: could not place obstacles"
+    )

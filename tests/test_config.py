@@ -311,6 +311,37 @@ def test_n_beams_over_the_ray_cap_is_a_config_error(overrides, scans):
     assert config.MAX_SWEEP_RAYS == 2**22
 
 
+@pytest.mark.parametrize(
+    "dt, ticks",
+    [
+        ("1e-9", "9e+11"),
+        # t += dt would stop advancing t long before max_time
+        ("1e-300", "9e+302"),
+        # the ratio overflows to infinity
+        ("5e-324", "inf"),
+    ],
+)
+def test_a_dt_over_the_tick_cap_is_a_config_error(dt, ticks):
+    # rejected by the config, before the mission runs a tick
+    with pytest.raises(
+        ConfigError,
+        match=rf"^world.dt: {re.escape(repr(float(dt)))} s needs {re.escape(ticks)} ticks to "
+        rf"reach mission.max_time 900.0; at most {config.MAX_TICKS} are allowed$",
+    ):
+        build_config({"world.dt": [dt], "mission.scan_interval": ["1"]})
+
+
+def test_a_dt_at_the_tick_cap_is_accepted():
+    assert config.MAX_TICKS == 2**20
+    dt = 900.0 / config.MAX_TICKS
+    cfg = build_config({"world.dt": [repr(dt)]})
+    assert cfg.max_time / cfg.world.dt == config.MAX_TICKS
+    with pytest.raises(ConfigError, match=r"^world.dt: "):
+        build_config({"world.dt": [repr(math.nextafter(dt, 0.0))]})
+    default = build_config({})
+    assert default.max_time / default.world.dt == 18000.0
+
+
 def _dataclass_default(key: str):
     """The default of the field that `section.name` names: a field of the
     section's dataclass, or of WorldConfig's start pose for world.start_*."""

@@ -1,8 +1,12 @@
 import dataclasses
 import math
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from littersim.geometry import (
     BoundingBox,
@@ -59,6 +63,44 @@ def test_pose_keeps_its_dataclass_behaviour():
     assert not hasattr(p, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.theta = 0.0
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(st.floats(allow_infinity=False))
+@example(math.pi)
+@example(-math.pi)
+@example(math.nextafter(math.pi, 0.0))
+@example(math.nextafter(-math.pi, 0.0))
+@example(math.nextafter(math.pi, math.inf))
+@example(math.nextafter(-math.pi, -math.inf))
+@example(2.0 * math.pi)
+@example(-2.0 * math.pi)
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(1e-300)
+@example(1e300)
+@example(-1e300)
+@example(1.7976931348623157e308)
+def test_pose_stores_the_bits_wrap_angle_gives(a):
+    # Pose2D skips wrap_angle for a theta already in (-pi, pi]; the stored
+    # float must be the one wrap_angle would have returned, sign of zero
+    # and NaN included
+    assert _bits(Pose2D(0.0, 0.0, a).theta) == _bits(wrap_angle(a))
+
+
+@pytest.mark.parametrize("a", [math.inf, -math.inf])
+def test_pose_with_an_infinite_theta_raises_as_fmod_does(a):
+    with pytest.raises(ValueError) as fmod_error:
+        math.fmod(a, 2.0 * math.pi)
+    with pytest.raises(ValueError) as pose_error:
+        Pose2D(0.0, 0.0, a)
+    assert str(pose_error.value) == str(fmod_error.value)
 
 
 def test_bearing_from_pixel_hand_values():

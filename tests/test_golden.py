@@ -13,7 +13,8 @@ then `Unreachable`), and a shortened `mission.max_time` ends seed 0 in the
 middle of the sweep (60 s) or of the collection phase (150 s).  With
 `pickup.reidentify` off, seed 0 skips every look-back, so frames captured
 in one pickup episode are drained in the next, after a navigation leg.  A
-2-seed batch pins `runs.csv` and `aggregate.csv`.
+2-seed batch pins `runs.csv` and `aggregate.csv`, run in one process and in
+two.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from dataclasses import replace
 
 import pytest
 
+from littersim import mission
 from littersim.config import build_config
 from littersim.mission import run_batch, run_mission
 from littersim.simworld import NoiseModel
@@ -170,5 +172,13 @@ def test_dump_files_match_golden_digests(tmp_path, mode, seed):
 
 
 def test_batch_files_match_golden_digests(tmp_path):
+    run_batch({}, [0, 1], [], out_dir=str(tmp_path))
+    assert {p.name: _digest(p) for p in tmp_path.iterdir()} == BATCH
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_batch_files_match_golden_digests_on_any_cpu_count(tmp_path, monkeypatch, cpus):
+    # one CPU runs the missions in this process, two in a process pool
+    monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
     run_batch({}, [0, 1], [], out_dir=str(tmp_path))
     assert {p.name: _digest(p) for p in tmp_path.iterdir()} == BATCH

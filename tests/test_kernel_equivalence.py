@@ -547,21 +547,39 @@ def test_an_item_on_a_wall_is_seen_along_it(obstacles):
 @SETTINGS
 @given(
     st.integers(0, 2**64 - 1),
-    st.lists(st.sampled_from(["uniform", "normal", "poisson"]), max_size=60),
+    st.lists(
+        st.one_of(
+            st.sampled_from(["uniform", "normal", "normal_pair", "poisson"]),
+            st.floats(1e-3, 100.0),
+        ),
+        max_size=60,
+    ),
 )
 def test_random_draws_what_uniform_draws(seed, ops):
-    # detect draws its p_detect and phantom confidence samples with
-    # random(): the same value as uniform() from the same stream position,
-    # and the same stream afterwards
+    # Each cheaper draw the simulator makes against the call it replaced:
+    # the same values from the same stream position, and the same stream
+    # afterwards.  detect draws its p_detect and phantom confidence samples
+    # with random() for uniform(); step_world draws both odometry normals
+    # with one standard_normal(out=) for two scalar draws; a float op is a
+    # sigma, drawn as 0.0 + sigma * standard_normal() for
+    # normal(0.0, sigma), as step_world, _render_box and conf_sample do
     a = np.random.default_rng(seed)
     b = np.random.default_rng(seed)
+    pair = np.empty(2)
     for op in ops:
         if op == "uniform":
             assert a.uniform().hex() == b.random().hex()
         elif op == "normal":
             assert a.standard_normal() == b.standard_normal()
-        else:
+        elif op == "normal_pair":
+            first, second = a.standard_normal(), a.standard_normal()
+            b.standard_normal(out=pair)
+            got = pair.tolist()
+            assert [first.hex(), second.hex()] == [z.hex() for z in got]
+        elif op == "poisson":
             assert a.poisson(0.5) == b.poisson(0.5)
+        else:
+            assert a.normal(0.0, op).hex() == (0.0 + op * b.standard_normal()).hex()
         assert a.bit_generator.state == b.bit_generator.state
 
 

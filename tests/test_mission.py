@@ -1,7 +1,10 @@
 import math
+import operator
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ import littersim
 from littersim import mission
 from littersim.clusterfilter import FilterConfig
 from littersim.config import ConfigError, MissionConfig, build_config
-from littersim.geometry import CameraModel, GroundPoint, Pose2D
+from littersim.geometry import CameraModel, GroundPoint, Pose2D, project_detection
 from littersim.gridmap import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, load_map
 from littersim.mission import (
     COLLECTED,
@@ -25,7 +28,8 @@ from littersim.mission import (
     run_mission,
     write_report,
 )
-from littersim.pickup import PickupConfig
+from littersim.pickup import PickupConfig, PickupPhase
+from littersim.pickup import step as pickup_step
 from littersim.simworld import NoiseModel, Rect, World, WorldConfig
 
 
@@ -368,6 +372,127 @@ def test_run_batch_without_sweep_or_seeds():
     assert aggs[0]["n_runs"] == 1
     with pytest.raises(ConfigError):
         run_batch({}, seeds=[], sweep=[])
+
+
+def _reference_pickup_episode(self, state, expected):
+    """`_Runner._pickup_episode` as a loop that projects every ready frame
+    through `_near`, in every phase, and logs nothing."""
+    cfg = self.cfg
+    dt = cfg.world.dt
+    world = self.world
+    t0 = world.t
+    cap = (
+        cfg.pickup.timeout
+        + (cfg.standoff + 1.0) / cfg.pickup.drive_speed
+        + 2.0 * math.pi / cfg.pickup.spin_rate
+        + 5.0
+    )
+
+    def finished():
+        terminal = state.phase in (PickupPhase.DONE, PickupPhase.TIMED_OUT)
+        return terminal or world.t - t0 >= cap
+
+    def command(detections):
+        nonlocal state
+        state, cmd = mission.pickup_step(state, world.robot.believed_pose, detections, cfg.pickup, dt)
+        return cmd
+
+    self._run(command, accept=self._near(expected), after=finished)
+    return state.phase is PickupPhase.DONE
+
+
+def _recorded_run(cfg, path, reference):
+    """report.txt bytes, the per-tick (phase, command) rows and the number
+    of projected boxes of one run."""
+    steps = []
+    projected = []
+
+    def record_step(*args):
+        state, cmd = pickup_step(*args)
+        steps.append((state.phase, cmd))
+        return state, cmd
+
+    def record_projection(*args):
+        projected.append(args)
+        return project_detection(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mission, "pickup_step", record_step)
+        mp.setattr(mission, "project_detection", record_projection)
+        if reference:
+            mp.setattr(mission._Runner, "_pickup_episode", _reference_pickup_episode)
+        write_report(run_mission(cfg), str(path))
+    return path.read_bytes(), steps, len(projected)
+
+
+EPISODE_CASES = [
+    *(
+        {"mission.scenario": ["pickup_trial"], "mission.trial_distance": [d], "world.seed": [str(s)]}
+        for d in ("0.5", "1.0", "2.0")
+        for s in range(4)
+    ),
+    {"world.seed": ["0"]},
+    {"world.seed": ["0"], "pickup.reidentify": ["false"]},
+]
+
+
+def test_pickup_episodes_equal_the_loop_that_projects_every_frame(tmp_path):
+    # frames are projected only while the FSM spin-searches; after the lock
+    # they are popped on the same ticks and dropped unread, so every tick
+    # chooses the same command and the reports keep their bytes
+    projected = {"new": 0, "reference": 0}
+    for raw in EPISODE_CASES:
+        cfg = build_config(raw)
+        report, steps, n = _recorded_run(cfg, tmp_path / "new.txt", reference=False)
+        want_report, want_steps, want_n = _recorded_run(cfg, tmp_path / "ref.txt", reference=True)
+        assert steps == want_steps, raw
+        assert report == want_report, raw
+        assert len(steps) > 0 and n <= want_n
+        projected["new"] += n
+        projected["reference"] += want_n
+    assert projected["new"] < projected["reference"]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [{"world.seed": ["0"]}, {"mission.scenario": ["pickup_trial"], "world.seed": ["4"]}],
+    ids=["full", "pickup_trial"],
+)
+def test_a_run_without_a_dump_keeps_no_step_log_and_the_same_report(tmp_path, monkeypatch, raw):
+    runners = []
+    init = mission._Runner.__init__
+
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        runners.append(self)
+
+    monkeypatch.setattr(mission._Runner, "__init__", keep)
+    out = tmp_path / "dump"
+    dumped = run_mission(build_config(raw, output_dir=str(out)))
+    plain = run_mission(build_config(raw))
+    dumped_runner, plain_runner = runners
+    assert dumped_runner.episode_logs
+    assert len(dumped_runner.episode_logs) == len(list(out.glob("episode_*.txt")))
+    assert plain_runner.episode_logs == []
+    # only the dumped run writes a map file for the report to name
+    write_report(dumped, str(tmp_path / "dumped.txt"))
+    write_report(replace(plain, map_file=dumped.map_file), str(tmp_path / "plain.txt"))
+    assert (tmp_path / "plain.txt").read_bytes() == (tmp_path / "dumped.txt").read_bytes()
+
+
+def test_pool_map_keeps_order_and_submits_a_small_window():
+    pulled = []
+
+    def items():
+        for i in count():
+            pulled.append(i)
+            yield i
+
+    results = mission._pool_map(operator.neg, items(), 2)
+    assert list(islice(results, 5)) == [0, -1, -2, -3, -4]
+    # an endless input is read at most 2 x workers items ahead
+    assert len(pulled) <= 5 + 2 * 2
+    results.close()
 
 
 # names perfbench/tracer.py rebinds on the mission module to time each layer
