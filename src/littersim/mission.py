@@ -825,15 +825,14 @@ def _write_csv(path: str, cols: list[str], rows: list[dict]) -> None:
 
 def _batch_row(task: tuple[dict[str, list[str]], int, tuple[tuple[str, str], ...]]) -> dict:
     """Run one batch mission from its raw config, seed and sweep point, a
-    tuple of (key, value) pairs; returns its runs.csv row.  A mission's
-    ConfigError is raised again naming the seed and the sweep point."""
+    tuple of (key, value) pairs; returns its runs.csv row.  A ConfigError
+    of its config or its mission is raised again naming the seed and the
+    sweep point."""
     raw_run, seed, point = task
-    cfg = build_config(raw_run)
     try:
-        report = run_mission(cfg)
+        report = run_mission(build_config(raw_run))
     except ConfigError as exc:
-        where = "".join(f", {k}={v}" for k, v in point)
-        raise ConfigError(f"seed {seed}{where}: {exc}") from None
+        raise _named(exc, seed, point) from None
     return {
         "seed": seed,
         **dict(point),
@@ -843,6 +842,12 @@ def _batch_row(task: tuple[dict[str, list[str]], int, tuple[tuple[str, str], ...
         "mean_map_error_m": report.mean_map_error,
         "wall_time_s": report.wall_time,
     }
+
+
+def _named(exc: ConfigError, seed: int, point: tuple[tuple[str, str], ...]) -> ConfigError:
+    """`exc` again, its message led by the batch run's seed and sweep point."""
+    where = "".join(f", {k}={v}" for k, v in point)
+    return ConfigError(f"seed {seed}{where}: {exc}")
 
 
 def _usable_cpus() -> int:
@@ -892,7 +897,11 @@ def run_batch(
     one mission on a machine that lets this process use more than one CPU
     runs its missions in a pool of spawned processes, one per CPU or per
     mission, whichever is fewer; the rows, the files and the first error
-    raised are those of a sequential run.  A script that calls this needs
+    raised are those of a sequential run.  Each sweep point's config is
+    built with the first seed before any mission runs, so an invalid one
+    ends the batch at once.  Its ConfigError names that seed and the
+    point, as a mission's does, unless the config has the same error
+    without the sweep.  A script that calls this needs
     the `if __name__ == "__main__":` guard spawned processes ask for.
     """
     if not seeds:
@@ -903,27 +912,42 @@ def run_batch(
     repeated = sorted({key for key in sweep_keys if sweep_keys.count(key) > 1})
     if repeated:
         raise ConfigError(f"sweep key {repeated[0]!r} is given more than once")
-    combos = list(product(*(values for _, values in sweep)))
+    points = [tuple(zip(sweep_keys, combo)) for combo in product(*(values for _, values in sweep))]
 
-    def tasks() -> Iterator:
-        for combo in combos:
-            point = tuple(zip(sweep_keys, combo))
-            for seed in seeds:
-                raw_run = dict(raw)
-                for key, value in point:
-                    apply_override(raw_run, key, value)
-                apply_override(raw_run, "world.seed", str(seed))
-                yield raw_run, seed, point
+    def raw_run(point: tuple[tuple[str, str], ...], seed: int) -> dict[str, list[str]]:
+        out = dict(raw)
+        for key, value in point:
+            apply_override(out, key, value)
+        apply_override(out, "world.seed", str(seed))
+        return out
 
-    workers = min(_usable_cpus(), len(combos) * len(seeds))
-    results = map(_batch_row, tasks()) if workers == 1 else _pool_map(_batch_row, tasks(), workers)
+    def config_error(point: tuple[tuple[str, str], ...]) -> ConfigError | None:
+        first = raw_run(point, seeds[0])
+        try:
+            build_config(first)
+        except ConfigError as exc:
+            return exc
+        return None
+
+    # an error the config has without the sweep is not the point's
+    unswept = config_error(())
+    for point in points:
+        exc = config_error(point)
+        if exc is not None:
+            if unswept is not None and str(exc) == str(unswept):
+                raise exc
+            raise _named(exc, seeds[0], point)
+
+    tasks = ((raw_run(point, seed), seed, point) for point in points for seed in seeds)
+    workers = min(_usable_cpus(), len(points) * len(seeds))
+    results = map(_batch_row, tasks) if workers == 1 else _pool_map(_batch_row, tasks, workers)
     rows: list[dict] = []
     aggregates: list[dict] = []
-    for combo in combos:
+    for point in points:
         combo_rows = list(islice(results, len(seeds)))
         rows.extend(combo_rows)
         n = len(combo_rows)
-        agg = dict(zip(sweep_keys, combo))
+        agg = dict(point)
         agg.update(
             n_runs=n,
             success_rate=sum(1 for r in combo_rows if r["success"]) / n,

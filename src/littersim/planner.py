@@ -72,6 +72,9 @@ _OFFSETS = (
 
 # CostField's neighbour order: increasing flat index row * width + col
 _CSR_OFFSETS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+_CSR_DIAGONAL = np.array([bool(dc and dr) for dc, dr in _CSR_OFFSETS])
+# a uint64 made of eight bytes of 0 or 1, times this, holds their sum in its top byte
+_BYTE_SUM = np.uint64(0x0101010101010101)
 
 
 def astar(grid: OccupancyGrid, start: GroundPoint, goal: GroundPoint) -> PathPlan | None:
@@ -81,6 +84,13 @@ def astar(grid: OccupancyGrid, start: GroundPoint, goal: GroundPoint) -> PathPla
     heuristic is admissible and consistent for these step costs, so the
     returned cost is the true minimum.
 
+    The search runs on flat indices into the grid padded by one non-Free
+    cell on every side, `(row + 1) * (width + 2) + col + 1`, so no step
+    needs a bounds test: the Free flags are one `bytes` object, and the
+    neighbours of a cell are fixed index deltas, taken in `_OFFSETS`
+    order.  Heap keys are (f, push counter, index), so equal f pop in push
+    order.
+
     Raises:
         StartOccupied: when the start cell is off-grid or not Free.
     """
@@ -89,40 +99,45 @@ def astar(grid: OccupancyGrid, start: GroundPoint, goal: GroundPoint) -> PathPla
     if g is None or grid.cells[g[1], g[0]] != FREE:
         return None
     res = grid.resolution
-    W, H = grid.width, grid.height
-    free = grid.cells == FREE
-
-    def heuristic(col: int, row: int) -> float:
-        dx = abs(col - g[0])
-        dy = abs(row - g[1])
-        return res * (max(dx, dy) + (SQRT2 - 1.0) * min(dx, dy))
-
-    start_idx = s[1] * W + s[0]
-    goal_idx = g[1] * W + g[0]
+    W2 = grid.width + 2
+    padded = np.zeros((grid.height + 2, W2), dtype=np.uint8)
+    padded[1:-1, 1:-1] = grid.cells == FREE
+    free = padded.tobytes()
+    steps = [(dr * W2 + dc, dc, dr, step * res) for dc, dr, step in _OFFSETS]
+    gc, gr = g[0] + 1, g[1] + 1
+    start_idx = (s[1] + 1) * W2 + s[0] + 1
+    goal_idx = gr * W2 + gc
+    # the octile heuristic is res * (max(dx, dy) + extra * min(dx, dy))
+    extra = SQRT2 - 1.0
+    dx, dy = abs(s[0] + 1 - gc), abs(s[1] + 1 - gr)
     g_cost = {start_idx: 0.0}
     came: dict[int, int] = {}
-    heap: list[tuple[float, int, int]] = [(heuristic(s[0], s[1]), 0, start_idx)]
+    heap = [(res * (max(dx, dy) + extra * min(dx, dy)), 0, start_idx)]
     tie = 1
-    closed = set()
+    closed = bytearray(len(free))
+    pop, push, get, inf = heapq.heappop, heapq.heappush, g_cost.get, math.inf
     while heap:
-        f, _, idx = heapq.heappop(heap)
-        if idx in closed:
+        idx = pop(heap)[2]
+        if closed[idx]:
             continue
         if idx == goal_idx:
             break
-        closed.add(idx)
-        row, col = divmod(idx, W)
+        closed[idx] = 1
+        row, col = divmod(idx, W2)
         base = g_cost[idx]
-        for dc, dr, step in _OFFSETS:
-            nc, nr = col + dc, row + dr
-            if not (0 <= nc < W and 0 <= nr < H) or not free[nr, nc]:
+        for delta, dc, dr, step in steps:
+            nidx = idx + delta
+            if not free[nidx]:
                 continue
-            nidx = nr * W + nc
-            cand = base + step * res
-            if cand < g_cost.get(nidx, math.inf):
+            cand = base + step
+            if cand < get(nidx, inf):
                 g_cost[nidx] = cand
                 came[nidx] = idx
-                heapq.heappush(heap, (cand + heuristic(nc, nr), tie, nidx))
+                dx, dy = abs(col + dc - gc), abs(row + dr - gr)
+                if dx > dy:
+                    push(heap, (cand + res * (dx + extra * dy), tie, nidx))
+                else:
+                    push(heap, (cand + res * (dy + extra * dx), tie, nidx))
                 tie += 1
     if goal_idx not in g_cost:
         return None
@@ -130,7 +145,7 @@ def astar(grid: OccupancyGrid, start: GroundPoint, goal: GroundPoint) -> PathPla
     while cells[-1] != start_idx:
         cells.append(came[cells[-1]])
     cells.reverse()
-    waypoints = [GroundPoint(*grid.cell_center(i % W, i // W)) for i in cells]
+    waypoints = [GroundPoint(*grid.cell_center(i % W2 - 1, i // W2 - 1)) for i in cells]
     return PathPlan(waypoints, g_cost[goal_idx])
 
 
@@ -149,6 +164,14 @@ class CostField:
     increasing flat index, `(dc, dr)` = (-1,-1), (0,-1), (1,-1), (-1,0),
     (1,0), (-1,1), (0,1), (1,1), so the column indices are sorted without
     a sort pass.  Index arrays are int32 whenever they fit.
+
+    The build makes one (height, width, 8) boolean edge mask, slot k of a
+    cell holding its edge to the k-th neighbour.  `indptr` is the running
+    sum of the per-cell edge counts, each the sum of a cell's 8 flag bytes
+    read as one uint64 (a multiply by 0x0101010101010101 gathers the byte
+    sum in the top byte).  `indices` and `data` are gathered from the
+    per-slot neighbour indices and diagonal flags by the mask, one boolean
+    pass each.
     """
 
     def __init__(self, grid: OccupancyGrid):
@@ -165,15 +188,17 @@ class CostField:
             np.logical_and(
                 free, padded[1 + dr : 1 + dr + H, 1 + dc : 1 + dc + W], out=edges[:, :, k]
             )
-        # slot 8 * cell + k holds the edge to the cell's k-th neighbour
-        slots = np.flatnonzero(edges)
         index_dtype = np.int32 if 8 * n <= np.iinfo(np.int32).max else np.int64
-        indptr = np.searchsorted(slots, np.arange(0, 8 * n + 1, 8)).astype(index_dtype)
-        k = slots & 7
-        shifts = np.array([dr * W + dc for dc, dr in _CSR_OFFSETS], dtype=index_dtype)
-        indices = (slots >> 3).astype(index_dtype) + shifts[k]
-        steps = np.array([SQRT2 if dc and dr else 1.0 for dc, dr in _CSR_OFFSETS])
-        data = (steps * grid.resolution)[k]
+        counts = (edges.view(np.uint64).reshape(n) * _BYTE_SUM) >> np.uint64(56)
+        indptr = np.zeros(n + 1, dtype=index_dtype)
+        np.cumsum(counts.astype(index_dtype), out=indptr[1:])
+        cells = np.arange(n, dtype=index_dtype)
+        neighbours = np.empty((n, 8), dtype=index_dtype)
+        for k, (dc, dr) in enumerate(_CSR_OFFSETS):
+            np.add(cells, dr * W + dc, out=neighbours[:, k])
+        indices = neighbours[edges.reshape(n, 8)]
+        diagonal = np.tile(_CSR_DIAGONAL, n)[edges.reshape(-1)]
+        data = np.where(diagonal, SQRT2 * grid.resolution, grid.resolution)
         self._graph = csr_matrix((data, indices, indptr), shape=(n, n))
 
     def field(self, start: GroundPoint, limit: float = math.inf) -> np.ndarray:

@@ -360,6 +360,20 @@ def test_a_dt_over_the_tick_cap_exits_1_before_any_mission(tmp_path, capsys, mon
     assert "Traceback" not in err
 
 
+def test_batch_with_an_invalid_sweep_point_runs_no_mission(capsys, monkeypatch):
+    def no_mission(cfg):
+        raise AssertionError("a mission ran")
+
+    monkeypatch.setattr(mission, "run_mission", no_mission)
+    # one CPU keeps a batch's missions in this process, where the stub is
+    monkeypatch.setattr(mission, "_usable_cpus", lambda: 1)
+    code = main(["batch", "--seeds", "0..1", "--sweep", "mission.n_beams=32,1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: seed 0, mission.n_beams=1: mission.n_beams: need at least 2 beams\n"
+    )
+
+
 def test_parallel_batch_prints_what_a_sequential_one_prints(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "trial.cfg"
     cfg.write_text(TRIAL_CFG, encoding="utf-8")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from itertools import count, islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -372,6 +373,33 @@ def test_run_batch_without_sweep_or_seeds():
     assert aggs[0]["n_runs"] == 1
     with pytest.raises(ConfigError):
         run_batch({}, seeds=[], sweep=[])
+
+
+def test_run_batch_builds_every_sweep_point_before_any_mission(monkeypatch):
+    # the second sweep point is invalid: the batch ends before the first
+    # point's missions run, naming the point and the seed its config was
+    # built with; 10**12 seeds per point cost nothing
+    ran = []
+    monkeypatch.setattr(mission, "run_mission", lambda cfg: ran.append(cfg))
+    with pytest.raises(ConfigError) as info:
+        run_batch({}, seeds=range(3, 10**12), sweep=[("mission.n_beams", ["32", "1"])])
+    assert str(info.value) == "seed 3, mission.n_beams=1: mission.n_beams: need at least 2 beams"
+    assert ran == []
+
+
+def test_run_batch_runs_a_sweep_that_mends_the_config(monkeypatch):
+    # the config alone is invalid, and every sweep point makes it valid
+    ran = []
+
+    def stub(cfg):
+        ran.append(cfg.n_beams)
+        return SimpleNamespace(success=True, n_collected=0, n_trash=0, mean_map_error=0.0, wall_time=1.0)
+
+    monkeypatch.setattr(mission, "run_mission", stub)
+    # one CPU keeps a batch's missions in this process, where the stub is
+    monkeypatch.setattr(mission, "_usable_cpus", lambda: 1)
+    run_batch({"mission.n_beams": ["1"]}, seeds=[0], sweep=[("mission.n_beams", ["32", "64"])])
+    assert ran == [32, 64]
 
 
 def _reference_pickup_episode(self, state, expected):

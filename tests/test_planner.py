@@ -12,11 +12,13 @@ from scipy.sparse.csgraph import connected_components
 from littersim.geometry import GroundPoint, Pose2D
 from littersim import planner
 from littersim.gridmap import FREE, OCCUPIED, UNKNOWN, OccupancyGrid
+from reference_astar import astar as reference_astar
 from reference_walk import trace_cells
 from littersim.planner import (
     COST_TIE,
     CostField,
     NavGoal,
+    PathPlan,
     StartOccupied,
     approach_goal,
     astar,
@@ -158,6 +160,89 @@ def test_astar_goal_walled_off_returns_none():
     assert astar(g, GroundPoint(0.05, 0.05), GroundPoint(gx, gy)) is None
 
 
+@st.composite
+def astar_cases(draw):
+    """A grid and a start and goal point for `astar`.  Grids are random
+    Free/Occupied/Unknown fills, 1-cell-wide strips, checkerboards (Free
+    cells that touch only at corners), fills with the goal walled off, or
+    detours: an open square whose middle cell, the start, faces a wall
+    across the way to the goal, so the first step goes to either side at
+    equal cost and only the neighbour order picks the side.  Points mostly
+    lie in Free cells, else anywhere on the grid or one cell off it, and
+    the goal may be the start."""
+    kind = draw(
+        st.sampled_from(["fill", "row strip", "column strip", "checker", "walled", "detour"])
+    )
+    res = draw(st.sampled_from([0.07, 0.05, 0.1, 1.0]))
+    if kind == "detour":
+        k = draw(st.integers(3, 8))
+        moves = [(dc, dr) for dc in (-1, 0, 1) for dr in (-1, 0, 1) if dc or dr]
+        dc, dr = draw(st.sampled_from(moves))
+        span = draw(st.integers(1, k - 2))
+        rows, cols = np.indices((2 * k + 1, 2 * k + 1)) - k
+        along, across = cols * dc + rows * dr, rows * dc - cols * dr
+        wall = (1 <= along) & (along <= 2) & (np.abs(across) <= span)
+        g = grid_from(np.where(wall, OCCUPIED, FREE), res)
+        start = GroundPoint(*g.cell_center(k, k))
+        return g, start, GroundPoint(*g.cell_center(k + k * dc, k + k * dr))
+    if kind == "row strip":
+        h, w = 1, draw(st.integers(1, 60))
+    elif kind == "column strip":
+        h, w = draw(st.integers(1, 60)), 1
+    else:
+        h, w = draw(st.integers(2, 24)), draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_blocked = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5]))
+    cells = np.where(
+        rng.random((h, w)) < p_blocked, rng.choice([OCCUPIED, UNKNOWN], size=(h, w)), FREE
+    ).astype(np.uint8)
+    if kind == "checker":
+        rows, cols = np.indices((h, w))
+        cells[(rows + cols) % 2 == 1] = OCCUPIED
+
+    def point():
+        free = np.argwhere(cells == FREE)
+        if len(free) and rng.random() < 0.8:
+            row, col = free[rng.integers(len(free))].tolist()
+        else:
+            col, row = rng.integers(-1, w + 1), rng.integers(-1, h + 1)
+        fx, fy = rng.uniform(0.0, 0.99, size=2)
+        return GroundPoint(float((col + fx) * res), float((row + fy) * res))
+
+    goal = point()
+    cell = grid_from(cells, res).world_to_cell(goal.x, goal.y)
+    if kind == "walled" and cell is not None:
+        gc, gr = cell
+        cells[max(0, gr - 1) : gr + 2, max(0, gc - 1) : gc + 2] = OCCUPIED
+        cells[gr, gc] = FREE
+    start = goal if rng.random() < 0.1 else point()
+    return grid_from(cells, res), start, goal
+
+
+def _astar_outcome(fn, grid, start, goal):
+    try:
+        return fn(grid, start, goal)
+    except StartOccupied as exc:
+        return ("StartOccupied", str(exc))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(astar_cases())
+def test_astar_equals_the_reference_search(case):
+    # the flat padded-grid search against the bounds-checked one it
+    # replaced: the same waypoints, bit for bit the same cost, the same
+    # None and the same StartOccupied
+    grid, start, goal = case
+    got = _astar_outcome(astar, grid, start, goal)
+    want = _astar_outcome(reference_astar, grid, start, goal)
+    if isinstance(want, PathPlan):
+        assert isinstance(got, PathPlan)
+        assert got.waypoints == want.waypoints
+        assert got.cost == want.cost
+    else:
+        assert got == want
+
+
 def test_cost_field_agrees_with_dijkstra_and_astar():
     rng = np.random.default_rng(13)
     g = random_grid(rng, w=12, h=10)
@@ -234,7 +319,12 @@ _GRID_FILLS = [
     ((9, 12), "unknown"),
     ((40, 30), "mixed"),
     ((3, 200), "mixed"),
+    ((7, 9), "checker"),
+    ((30, 40), "sparse"),
 ]
+# a 60 m x 6 m strip at 0.05 m: too many cells for the per-cell component
+# tests, which take only `_GRID_FILLS`
+_STRIP_FILLS = [((120, 1200), "mixed"), ((120, 1200), "sparse")]
 
 
 def filled_grid(shape, fill):
@@ -252,7 +342,7 @@ def filled_grid(shape, fill):
     return grid_from(cells, resolution=0.07)
 
 
-@pytest.mark.parametrize("shape,fill", _GRID_FILLS)
+@pytest.mark.parametrize("shape,fill", _GRID_FILLS + _STRIP_FILLS)
 def test_cost_field_csr_equals_coo_reference(shape, fill):
     g = filled_grid(shape, fill)
     got = CostField(g)._graph
@@ -263,11 +353,10 @@ def test_cost_field_csr_equals_coo_reference(shape, fill):
         assert a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
     assert got.indices.dtype == np.int32
+    assert got.indptr.dtype == np.int32
 
 
-@pytest.mark.parametrize(
-    "shape,fill", _GRID_FILLS + [((7, 9), "checker"), ((30, 40), "sparse")]
-)
+@pytest.mark.parametrize("shape,fill", _GRID_FILLS)
 def test_cost_field_labels_are_the_graph_components(shape, fill):
     # label every Free cell by the reachable mask of the first unlabelled
     # Free cell in row-major order; the labelling must be the graph's
@@ -292,9 +381,7 @@ def test_cost_field_labels_are_the_graph_components(shape, fill):
     assert len(pairs) == len(set(got.tolist())) == len(set(want.tolist()))
 
 
-@pytest.mark.parametrize(
-    "shape,fill", _GRID_FILLS + [((7, 9), "checker"), ((30, 40), "sparse")]
-)
+@pytest.mark.parametrize("shape,fill", _GRID_FILLS)
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_cost_field_reachable_is_the_start_component(shape, fill, data):
