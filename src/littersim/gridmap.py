@@ -133,9 +133,13 @@ def integrate_scan(
     union of all free cells and then the union of all hit cells, each in
     one masked write at the end.
 
-    The beams of all scans are traced PASS_BEAMS at a time, sorted by
-    their number of gridline crossings so that a pass pads little, each
-    pass with `_walk`.
+    A beam ends `min(range, max_range)` from its pose along theta +
+    bearing, with the directions of all beams from one `np.cos` and one
+    `np.sin`.  The golden digests were recorded, and the per-beam test
+    reference steps, with `math.cos` and `math.sin`: they hold only while
+    numpy's results have the same bits.  The beams of all scans are
+    traced PASS_BEAMS at a time, sorted by their number of gridline
+    crossings so that a pass pads little, each pass with `_walk`.
     """
     poses = np.asarray(poses, dtype=float).reshape(-1, 3)
     bearings = np.asarray(bearings, dtype=float)
@@ -147,9 +151,9 @@ def integrate_scan(
     px = np.repeat(px, n_beams)
     py = np.repeat(py, n_beams)
     reach = np.minimum(rng, max_range)
-    ang = (ptheta[:, None] + bearings).ravel().tolist()
-    ex = px + reach * np.fromiter(map(math.cos, ang), float, len(ang))
-    ey = py + reach * np.fromiter(map(math.sin, ang), float, len(ang))
+    ang = (ptheta[:, None] + bearings).ravel()
+    ex = px + reach * np.cos(ang)
+    ey = py + reach * np.sin(ang)
 
     # grid-frame robot (a) and beam ends (b) of every beam, and the
     # cells they lie in

@@ -16,6 +16,7 @@ inserts.  No locking is provided here.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 
@@ -108,10 +109,22 @@ class PoseBuffer:
 
 
 def write_trajectory(poses: Iterable[tuple[float, Pose2D]], path: str) -> list[str]:
-    """Dump a trajectory, one `t x y theta` line per `(t, pose)` pair, in
-    one write.  Returns the lines, newline included, so other dumps can
-    quote a pose without formatting it again."""
-    lines = [f"{t!r} {p.x!r} {p.y!r} {p.theta!r}\n" for t, p in poses]
+    """Dump a trajectory, one `t x y theta` line per `(t, pose)` pair,
+    every float in `repr`, in one write.  Returns the lines, newline
+    included, so other dumps can quote a pose without formatting it again.
+
+    A spin or a pinned tick leaves x and y as they were, so a line whose
+    x and y equal the previous line's reuses its `x y` text.  Zeros are
+    formatted each time: -0.0 == 0.0, but their reprs differ."""
+    lines: list[str] = []
+    last_x = last_y = math.nan
+    xy = ""
+    for t, p in poses:
+        x, y = p.x, p.y
+        if x != last_x or y != last_y or not x or not y:
+            xy = f"{x!r} {y!r}"
+            last_x, last_y = x, y
+        lines.append(f"{t!r} {xy} {p.theta!r}\n")
     with open(path, "w", encoding="ascii") as f:
         f.write("".join(lines))
     return lines

@@ -288,8 +288,9 @@ class World:
         self.trash = [TrashItem(p, m) for p, m in trash]
         self._validate()
         # the layout is fixed from here on: obstacle bounds for the per-tick
-        # contact test, and slab bounds of the arena (box 0) and every
-        # obstacle for the ray cast, indexed [low/high side, x/y axis, box, 1]
+        # contact test and detect's occlusion rays, and slab bounds of the
+        # arena (box 0) and every obstacle for scan's ray cast, indexed
+        # [low/high side, x/y axis, box, 1]
         self._arena_bounds = (self.arena.x0, self.arena.y0, self.arena.x1, self.arena.y1)
         self._obstacle_bounds = tuple((ob.x0, ob.y0, ob.x1, ob.y1) for ob in obstacles)
         boxes = (self.arena, *obstacles)
@@ -302,6 +303,10 @@ class World:
         self.robot = RobotState(cfg.start, cfg.start)
         # step_world's two odometry noise draws land here
         self._odom_z = np.empty(2)
+        # the last contact tick's (x, y, theta, v, omega) and the contact
+        # fraction its bisection found
+        self._contact_key: tuple[float, ...] | None = None
+        self._contact_frac = 0.0
         self.t = 0.0
         self.last_contact = False
 
@@ -348,7 +353,13 @@ class World:
         True pose: exact unicycle integration, stopped at obstacle contact
         by bisecting the tick down to the contact fraction.  The bisection
         probes step with `_unicycle` on plain floats, so they land on the
-        same bits as the tick's own step without a Pose2D per probe.
+        same bits as the tick's own step without a Pose2D per probe.  With
+        the layout and dt fixed, the fraction depends only on the true
+        pose and the command, so a contact tick whose (x, y, theta, v,
+        omega) equal the last contact tick's reuses its fraction; a robot
+        pinned on an obstacle repeats them tick after tick.  `==` takes
+        -0.0 for 0.0, but so do the probes, which compare coordinates only
+        with `<=`.  The tick's own step starts from its own inputs.
         Believed pose: same integrator over the noisy, biased command,
         scaled by the same contact fraction (stalled wheels do not advance
         odometry).  Each pose is stepped with `_unicycle` and built once.
@@ -369,15 +380,20 @@ class World:
         collides = self._collides
         self.last_contact = collides(x, y)
         if self.last_contact:
-            lo, hi = 0.0, 1.0
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                px, py, _ = _unicycle(ox, oy, th, v, omega, mid * dt)
-                if collides(px, py):
-                    hi = mid
-                else:
-                    lo = mid
-            frac = lo
+            key = (ox, oy, th, v, omega)
+            if key == self._contact_key:
+                frac = self._contact_frac
+            else:
+                lo, hi = 0.0, 1.0
+                for _ in range(40):
+                    mid = 0.5 * (lo + hi)
+                    px, py, _ = _unicycle(ox, oy, th, v, omega, mid * dt)
+                    if collides(px, py):
+                        hi = mid
+                    else:
+                        lo = mid
+                frac = self._contact_frac = lo
+                self._contact_key = key
             x, y, th1 = _unicycle(ox, oy, th, v, omega, frac * dt)
         robot.true_pose = Pose2D(x, y, th1)
 
@@ -425,7 +441,9 @@ class World:
         obstacles would compute it, and the nearest obstacle entry is an
         exact min over obstacles, so the ranges are bitwise those of the
         loop and do not depend on how rays or origins are grouped into
-        calls."""
+        calls, which `scan`'s blocked multi-pose casts rely on.
+        `_obstacle_entry` casts one ray on plain floats with the same
+        operations."""
         d = np.array([np.cos(angles), np.sin(angles)])
         d = np.where(np.abs(d) < 1e-12, 1e-12, d)
         t = (self._slabs - np.array([ox, oy]).reshape(2, 1, -1)) / d[:, None, :]
@@ -439,6 +457,30 @@ class World:
         hit = (tmax >= tmin) & (tmax > 0.0) & (tmin > 0.0)
         entry = np.where(hit, tmin, np.inf).min(axis=0, initial=np.inf)
         return exit_range, entry
+
+    def _obstacle_entry(self, ox: float, oy: float, angle: float) -> float:
+        """`_ray_ranges`' obstacle entry of one ray on plain floats: the
+        distance from (ox, oy) along `angle` to the nearest obstacle face
+        the ray enters, inf when it enters none.  The operations are
+        `_ray_ranges`' own, in its order, so the entry has the same bits;
+        a cast of a few rays skips building its arrays."""
+        dx = math.cos(angle)
+        dy = math.sin(angle)
+        if abs(dx) < 1e-12:
+            dx = 1e-12
+        if abs(dy) < 1e-12:
+            dy = 1e-12
+        best = math.inf
+        for x0, y0, x1, y1 in self._obstacle_bounds:
+            t0 = (x0 - ox) / dx
+            t1 = (x1 - ox) / dx
+            s0 = (y0 - oy) / dy
+            s1 = (y1 - oy) / dy
+            tmin = max(min(t0, t1), min(s0, s1))
+            tmax = min(max(t0, t1), max(s0, s1))
+            if tmax >= tmin and tmax > 0.0 and tmin > 0.0 and tmin < best:
+                best = tmin
+        return best
 
     def scan(
         self,
@@ -490,19 +532,18 @@ class World:
         false_positive_rate per second are appended with uniform position,
         depth, and score.
 
-        The occlusion rays of all in-frustum items are cast together in
-        one `_ray_ranges` call, and only its obstacle entries count: items
-        lie inside the arena, so no wall stands between one and the
-        camera.  With no obstacles nothing is cast.  The items are then
-        visited in trash order, so the generator is drawn in the same
-        order as item by item.
+        Each in-frustum item casts one occlusion ray with
+        `_obstacle_entry`, and only obstacle faces count: items lie inside
+        the arena, so no wall stands between one and the camera.  With no
+        obstacles nothing is cast.  The items are visited in trash order,
+        which is the order the generator is drawn in.
         """
         nz = self.noise
         rng = self.rng
         pose = self.robot.true_pose
         cam_x = pose.x + math.cos(pose.theta) * cam.forward_offset
         cam_y = pose.y + math.sin(pose.theta) * cam.forward_offset
-        seen: list[tuple[float, tuple[float, float, float], GroundPoint]] = []
+        out: list[BoundingBox] = []
         for item in self.trash:
             if item.collected:
                 continue
@@ -513,13 +554,10 @@ class World:
             pix = ground_point_to_pixel(pose, p, cam)
             if pix is None:
                 continue
-            seen.append((gr, pix, p))
-        if seen and self.obstacles:
-            angles = [math.atan2(p.y - cam_y, p.x - cam_x) for _, _, p in seen]
-            entry = self._ray_ranges(cam_x, cam_y, np.array(angles))[1].tolist()
-            seen = [sight for sight, hit in zip(seen, entry) if hit >= sight[0] - 1e-9]
-        out: list[BoundingBox] = []
-        for gr, pix, _ in seen:
+            if self.obstacles:
+                ang = math.atan2(p.y - cam_y, p.x - cam_x)
+                if self._obstacle_entry(cam_x, cam_y, ang) < gr - 1e-9:
+                    continue
             # random() is the draw uniform() makes, at about a third of
             # its cost
             if rng.random() >= nz.p_detect(gr):

@@ -1,14 +1,16 @@
 """The per-tick simulation kernel against the straightforward versions it
 replaced.
 
-`World.step_world` bisects contacts on plain floats, `World._ray_ranges`
-casts every ray against every obstacle in one broadcast, `World.detect`
-casts all occlusion rays of a frame at once against the obstacles, and
-none in an arena without obstacles, and draws with `random()`, and
-`DelayQueue` keeps the earliest ready time its callers compare against.
-Each must give bit-for-bit what the references below give: a
-Pose2D-building bisection through `_advance`, a loop over obstacles, one
-occlusion ray per item, `uniform()` draws, and a list filtered on every
+`World.step_world` bisects contacts on plain floats and reuses the last
+contact tick's fraction when its pose and command repeat,
+`World._ray_ranges` casts every ray against every obstacle in one
+broadcast, `World.detect` casts each occlusion ray on plain floats against
+the obstacles, and none in an arena without obstacles, and draws with
+`random()`, and `DelayQueue` keeps the earliest ready time its callers
+compare against.  Each must give bit-for-bit what the references below
+give: a Pose2D-building bisection through `_advance` on every contact
+tick, a numpy loop over obstacles, one occlusion ray per item through
+`np.cos` and `np.sin`, `uniform()` draws, and a list filtered on every
 call.
 """
 
@@ -314,10 +316,13 @@ def test_ray_ranges_equal_the_per_obstacle_loop(case):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert entry.tobytes() == loop_obstacle_entry(world, ox, oy, angles).tobytes()
-    # a batched cast equals one cast per ray, which detect relies on
+    # a batched cast equals one cast per ray, which scan relies on
     singles = [world._ray_ranges(ox, oy, angles[i : i + 1]) for i in range(len(angles))]
     assert exit_range.tobytes() == np.concatenate([e for e, _ in singles]).tobytes()
     assert entry.tobytes() == np.concatenate([n for _, n in singles]).tobytes()
+    # detect's float cast of each ray finds the same obstacle entry
+    floats = [world._obstacle_entry(ox, oy, a) for a in angles.tolist()]
+    assert [e.hex() for e in floats] == [e.hex() for e in entry.tolist()]
 
 
 def test_scan_bearings_are_the_linspace_of_each_fov():
@@ -438,23 +443,61 @@ def test_step_world_never_ends_a_tick_in_collision(case, commands):
         assert not any(ob.contains(p.x, p.y) for ob in world.obstacles)
 
 
+def _drive_both(got, want, commands):
+    """Step `got` and the reference `want` through `commands`, comparing
+    after every tick.  Returns one (contact, bisected) pair per tick;
+    a bisecting tick steps `_unicycle` at least 40 times, a memo hit
+    at most 3."""
+    ticks = []
+    for cmd in commands:
+        with mock.patch.object(simworld, "_unicycle", wraps=_unicycle) as step:
+            got.step_world(cmd)
+        reference_step_world(want, cmd)
+        assert got.last_contact == want.last_contact
+        assert _bits(got.robot.true_pose) == _bits(want.robot.true_pose)
+        assert _bits(got.robot.believed_pose) == _bits(want.robot.believed_pose)
+        assert got.rng.bit_generator.state == want.rng.bit_generator.state
+        ticks.append((got.last_contact, step.call_count >= 40))
+    return ticks
+
+
+_BOX = Rect(1.0, 0.0, 1.4, 2.0)
+
+
+def _box_world(start):
+    cfg = WorldConfig(arena_w=2.0, arena_h=2.0, obstacles=(_BOX,), trash=(), start=start)
+    return World(cfg, NoiseModel()), World(cfg, NoiseModel())
+
+
 def test_driving_into_a_box_and_a_wall_makes_contact():
     # the equivalence above must cover real contacts, not only free motion
-    box = Rect(1.0, 0.0, 1.4, 2.0)
-    cfg = WorldConfig(
-        arena_w=2.0, arena_h=2.0, obstacles=(box,), trash=(), start=Pose2D(0.5, 1.0, 0.0)
-    )
     for cmd in (MotionCommand(1.0, 0.0), MotionCommand(1.0, 1e-9), MotionCommand(-1.0, 0.3)):
-        got = World(cfg, NoiseModel())
-        want = World(cfg, NoiseModel())
-        contacts = 0
-        for _ in range(40):
-            got.step_world(cmd)
-            reference_step_world(want, cmd)
-            contacts += got.last_contact
-            assert _bits(got.robot.true_pose) == _bits(want.robot.true_pose)
-            assert _bits(got.robot.believed_pose) == _bits(want.robot.believed_pose)
-        assert contacts > 0
+        ticks = _drive_both(*_box_world(Pose2D(0.5, 1.0, 0.0)), [cmd] * 40)
+        assert any(contact for contact, _ in ticks)
+    # pinned ticks reuse the contact fraction; a new command bisects
+    # again, and so does the first command when it comes back
+    for start, a, b in [
+        # into the box, then along an arc into it
+        (Pose2D(0.9, 1.0, 0.0), MotionCommand(1.0, 0.0), MotionCommand(0.5, 0.4)),
+        # backing into the wall, then straight back into it
+        (Pose2D(0.12, 1.0, 0.0), MotionCommand(-1.0, 0.3), MotionCommand(-0.5, 0.0)),
+    ]:
+        got, want = _box_world(start)
+        ticks = _drive_both(got, want, [a] * 6 + [b] * 4 + [a] * 6)
+        for part in (ticks[:6], ticks[6:10], ticks[10:]):
+            bisected = [bisect for contact, bisect in part if contact]
+            assert bisected[0] and not bisected[-1]
+        # the same command from a pose moved back along the heading
+        # between contact ticks bisects again and stops at the face,
+        # where the last fraction would leave it short
+        back = 0.6 * a.v * got.cfg.dt
+        for world in (got, want):
+            p = world.robot.true_pose
+            world.robot.true_pose = Pose2D(
+                p.x - back * math.cos(p.theta), p.y - back * math.sin(p.theta), p.theta
+            )
+        ticks = _drive_both(got, want, [a] * 3)
+        assert ticks[0] == (True, True)
 
 
 # --------------------------------------------------------------------- #

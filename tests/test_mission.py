@@ -102,6 +102,13 @@ def test_mission_dump_files(tmp_path):
     assert len(first) == 8
     float(first[0])
     assert first[4] in ("0", "1")
+    # and quote the tick's trajectory line for t and the pose
+    with open(os.path.join(out, "trajectory.txt"), encoding="ascii") as fh:
+        trajectory = set(fh.read().splitlines())
+    with open(os.path.join(out, "episode_00.txt"), encoding="utf-8") as fh:
+        for line in fh:
+            t, _, _, _, _, x, y, theta = line.split()
+            assert f"{t} {x} {y} {theta}" in trajectory
 
 
 def test_collection_builds_one_cost_field(monkeypatch):

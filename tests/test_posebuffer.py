@@ -2,7 +2,7 @@ import math
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from littersim.geometry import Pose2D, wrap_angle
@@ -74,14 +74,42 @@ def test_horizon_eviction():
     assert list(buf)[0] == (0.0, Pose2D(0.0, 0.0, 0.0))
 
 
-def test_write_trajectory_format(tmp_path):
-    buf = _filled()
-    path = tmp_path / "traj.txt"
-    write_trajectory(buf, str(path))
-    lines = path.read_text(encoding="ascii").splitlines()
-    assert len(lines) == 3
-    t, x, y, theta = lines[1].split()
-    assert float(t) == 1.0 and float(x) == 2.0 and float(y) == 0.0 and float(theta) == 0.5
+# few distinct values, so that x, y and theta repeat from line to line,
+# with 0.0 and -0.0, which compare equal but print apart
+_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.5, -2.25, 0.1, math.nan, math.inf]),
+    st.floats(-10.0, 10.0),
+)
+_HEADINGS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, math.pi]), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(0.0, 100.0), _COORDS, _COORDS, _HEADINGS).map(
+            lambda s: (s[0], Pose2D(*s[1:]))
+        ),
+        max_size=30,
+    )
+)
+# each zero after the other sign's, in x and in y, with theta repeated
+@example(
+    [
+        (0.0, Pose2D(0.0, 1.0, 0.5)),
+        (0.05, Pose2D(-0.0, 1.0, 0.5)),
+        (0.1, Pose2D(-0.0, 1.0, 0.5)),
+        (0.15, Pose2D(1.0, 0.0, 0.5)),
+        (0.2, Pose2D(1.0, -0.0, 0.5)),
+        (0.25, Pose2D(1.0, 0.0, 0.5)),
+    ]
+)
+def test_write_trajectory_format(tmp_path_factory, poses):
+    path = tmp_path_factory.mktemp("traj") / "traj.txt"
+    lines = write_trajectory(poses, str(path))
+    text = path.read_text(encoding="ascii")
+    assert text == "".join(f"{t!r} {p.x!r} {p.y!r} {p.theta!r}\n" for t, p in poses)
+    # the returned lines are the ones episode logs quote
+    assert lines == text.splitlines(keepends=True)
 
 
 class DequePoseBuffer:
