@@ -13,16 +13,21 @@ to defaults.  The same key syntax drives batch sweep overrides.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from itertools import islice
 
 from .clusterfilter import FilterConfig
 from .geometry import CameraModel, GroundPoint, Pose2D
 from .pickup import ACTIVATION_RADIUS, ACTIVATION_TOLERANCE, PickupConfig
-from .simworld import PHANTOM_MAX_HALF, NoiseModel, Rect, WorldConfig
+from .simworld import DRONE_SPEED, PHANTOM_DEPTH_MARGIN, PHANTOM_MAX_HALF
+from .simworld import NoiseModel, Rect, WorldConfig
 
 SCENARIOS = ("full", "pickup_trial")
 # the sidestep after a contact first backs off this far, meters
 JOG_REVERSE = 0.4
+# the mapping sweep's lanes keep this far from the arena walls, meters
+LANE_MARGIN = 0.5
 # most cells the occupancy grid may have, about 218 times the default
 # 160 x 120 grid; a finer map_resolution is a config error
 MAX_GRID_CELLS = 2**22
@@ -32,6 +37,13 @@ MAX_SWEEP_RAYS = 2**22
 # most ticks of world.dt that mission.max_time may span, about 58 times the
 # default 900 s / 0.05 s = 18000; a smaller dt is a config error
 MAX_TICKS = 2**20
+# most lanes the survey or the mapping sweep may fly or drive, about 585
+# times the default 7 survey lanes; a finer lane spacing is a config error
+MAX_LANES = 2**12
+# most phantom boxes a camera frame, or phantom messages a survey frame,
+# may expect, about 10**5 times the default 0.01 per camera frame; a higher
+# false_positive_rate is a config error
+MAX_PHANTOMS_PER_FRAME = 2**10
 
 
 class ConfigError(ValueError):
@@ -141,6 +153,20 @@ class MissionConfig:
                 f"world.dt: {self.world.dt!r} s needs {ticks:g} ticks to reach "
                 f"mission.max_time {self.max_time!r}; at most {MAX_TICKS} are allowed"
             )
+        # checked before any lane is built; below the float step of x,
+        # adding the spacing no longer advances x and the lanes never end
+        if next(islice(self.mapping_lane_xs(), MAX_LANES, None), None) is not None:
+            raise ConfigError(
+                f"mission.mapping_lane_spacing: {self.mapping_lane_spacing!r} m gives "
+                f"more than the {MAX_LANES} lanes a sweep may drive"
+            )
+        # the survey flies one lane per spacing from x = 0, and one at the far wall
+        survey_lanes = self.world.arena_w / self.survey_lane_spacing + 2.0
+        if not survey_lanes <= MAX_LANES:
+            raise ConfigError(
+                f"mission.survey_lane_spacing: {self.survey_lane_spacing!r} m gives up to "
+                f"{survey_lanes:g} lanes; at most {MAX_LANES} are allowed"
+            )
         for name in (
             "odom_noise_sigma",
             "detect_pos_sigma",
@@ -162,6 +188,27 @@ class MissionConfig:
                 f"noise.p_detect_min: {self.noise.p_detect_min!r} exceeds "
                 f"noise.p_detect_max {self.noise.p_detect_max!r}"
             )
+        # checked before any frame draws its phantom count, which the
+        # generator cannot draw near 2**63; the expectation may be infinite
+        rate = self.noise.false_positive_rate
+        for frame, seconds in (
+            ("camera frame (mission.frame_interval)", self.frame_interval),
+            (f"survey frame (mission.survey_lane_spacing / {DRONE_SPEED:g} m/s)",
+             self.survey_lane_spacing / DRONE_SPEED),
+        ):
+            if not rate * seconds <= MAX_PHANTOMS_PER_FRAME:
+                raise ConfigError(
+                    f"noise.false_positive_rate: {rate!r} per second expects "
+                    f"{rate * seconds:g} phantoms in a {seconds:g}-s {frame}; "
+                    f"at most {MAX_PHANTOMS_PER_FRAME} are allowed"
+                )
+        # a phantom box's depth is drawn above this and below detect_max_range
+        nearest = self.camera.mount_height + PHANTOM_DEPTH_MARGIN
+        if not self.detect_max_range > nearest:
+            raise ConfigError(
+                f"mission.detect_max_range: {self.detect_max_range!r} m must exceed "
+                f"camera.mount_height + {PHANTOM_DEPTH_MARGIN} = {nearest:g} m"
+            )
         # a phantom detector box must fit inside the image both ways
         min_pixels = 2.0 * PHANTOM_MAX_HALF
         for name in ("image_width", "image_height"):
@@ -175,6 +222,15 @@ class MissionConfig:
                 "mission.trial_distance: exceeds the pickup activation radius "
                 f"({ACTIVATION_RADIUS} m + {ACTIVATION_TOLERANCE} m tolerance)"
             )
+
+    def mapping_lane_xs(self) -> Iterator[float]:
+        """x of each mapping-sweep lane: from LANE_MARGIN, adding
+        mapping_lane_spacing once per lane, up to LANE_MARGIN short of the
+        far wall."""
+        x = LANE_MARGIN
+        while x <= self.world.arena_w - LANE_MARGIN + 1e-9:
+            yield x
+            x += self.mapping_lane_spacing
 
     @property
     def grid_shape(self) -> tuple[int, int]:

@@ -1,94 +1,68 @@
-"""Mission orchestration: survey, map, tour, collect, report, batch.
+"""Mission phases: survey, mapping sweep and collection.
 
-A full mission runs four phases in a fixed order.  The aerial survey
-streams rough trash sightings into the fusion filter.  The ground robot
-then sweeps the arena in lanes, building the occupancy grid from range
-scans while camera detections (assigned to the pose at their capture
-time) keep feeding the filter.  Confirmed hypotheses are ordered into a
-tour by path cost, and each is visited: plan to a standoff goal with
-line of sight, drive the plan on the believed pose, then hand control to
-the pickup FSM.  After a drive-through the robot backs off, turns, and
-looks again; if the item is still there it gets one retry episode.
+Each phase runs on the inputs it is given.  The aerial survey streams
+rough trash sightings into the fusion filter.  `mapping_sweep(lanes)`
+drives the lanes `_lanes(cfg)` lays out while camera detections, each
+assigned to the pose at its capture time, keep feeding the filter, and
+returns the cleaned occupancy grid.  `run_mission` confirms the filter's
+hypotheses once, for the collection and for the report.
+`collect(grid, targets)` inflates the grid, orders the targets into a
+tour by path cost, and visits each: plan to a standoff goal with line of
+sight, drive the plan on the believed pose, then hand control to the
+pickup FSM.  After a drive-through the robot backs off, turns, and looks
+again; a leftover sighting earns one retry episode.
 
-Every robot motion runs through one tick loop, `_Runner._run`.  Each tick
-it stops once `max_time` has passed, senses, lets the motion choose a
-command (or end), steps the world, stores the believed pose in the one
-pose store, and asks the motion whether to stop.  Sensing runs only on a
-tick where something is due: a frame capture, a queued scan, or a drain
-of frames whose detector latency has passed; on every other tick the loop
-only compares the schedules.  The motions differ only in the command
-they choose and in what they sense:
+Every motion runs through one tick loop, `_Runner._run`, which senses
+through one path.  Each tick it stops once `max_time` has passed,
+senses, lets the motion choose a command (or end), steps the world,
+stores the believed pose in the one pose store, and asks the motion
+whether to stop.  A sensing motion captures camera frames and drains
+the frames whose detector latency has passed through its accept
+function; a capture, a drain and a queued scan each run only on a tick
+where they are due.  The motions differ in their command and in what
+they accept:
 
-- mapping motions (lane drives, sidestep jogs, lane-end spins) queue the
-  pose a range scan is due from, capture camera frames, ingest the frames
-  whose detector latency has passed into the filter, and step pinned:
-  the believed pose lands on ground truth and no odometry is integrated;
+- mapping motions (lane drives, sidestep jogs, lane-end spins) fold
+  every detection into the filter, also queue the pose a range scan is
+  due from, and step pinned: the believed pose lands on ground truth
+  and no odometry is integrated;
 - navigation, collection-phase reversing and turning to face a spot
   sense nothing;
-- pickup episodes and the look-back after one capture frames and drain
-  the ready ones through a filter on the expected item position; a
-  pickup episode projects them only while its FSM spin-searches, the one
-  phase that reads them, and after the lock pops them unread.
+- pickup episodes and the look-back after one accept the detections
+  near the expected item; an episode projects them only while its FSM
+  spin-searches, the one phase that reads them.
 
-Nothing reads the grid before the sweep ends, and folding scans into it
-is a join that does not depend on their order.  The range scanner is
-noiseless and draws nothing from the generator, and a queued pose is the
-true pose, since every mapping tick is pinned.  So when the sweep ends,
-also when `max_time` cuts it short, the queued poses are cast in one
-`World.scan` call and folded in one `integrate_scan` call, just before
-the morphological cleanup.
-
-Localization is assumed good while mapping, then dead-reckons with drift
-for the whole collection phase.  That split is what makes late-tour
-targets harder than early ones.
-
-`wall_time` in reports is simulated mission time, so identical runs
-produce byte-identical reports.
+Nothing reads the grid before the sweep ends, folding scans into it does
+not depend on their order, and the noiseless scanner draws nothing from
+the generator.  So when the sweep ends, also when `max_time` cuts it
+short, the queued poses are cast in one `World.scan` call and folded in
+one `integrate_scan` call.  Localization is good while mapping, then
+dead-reckons with drift for the whole collection phase, which makes
+late-tour targets harder than early ones.
 """
-
 from __future__ import annotations
 
 import math
 import os
-from collections import deque
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
-from itertools import count, islice, product
+from dataclasses import replace
+from itertools import count
 
 import numpy as np
 
-from .clusterfilter import (
-    RawDetection,
-    TrashHypothesis,
-    confirmed,
-    ingest,
-    write_hypotheses,
-)
-from .config import JOG_REVERSE, ConfigError, MissionConfig, apply_override, build_config
-from .geometry import (
-    CoincidentPoint,
-    DegenerateDepth,
-    GroundPoint,
-    Pose2D,
-    angle_to,
-    distance,
-    project_detection,
-)
-from .gridmap import FREE, OccupancyGrid, inflate, integrate_scan, morph_close_open, save_map
+from .batch import run_batch  # noqa: F401  (re-exported: README imports it from here)
+from .clusterfilter import RawDetection, TrashHypothesis, confirmed, ingest
+from .config import JOG_REVERSE, LANE_MARGIN, ConfigError, MissionConfig
+from .geometry import CoincidentPoint, DegenerateDepth, GroundPoint, Pose2D
+from .geometry import angle_to, distance, project_detection
+from .gridmap import OccupancyGrid, inflate, integrate_scan, morph_close_open, save_map
 from .pickup import _DONE, _SPIN_SEARCH, _TIMED_OUT, STOP, MotionCommand, TooFar, start_pickup
 from .pickup import turn_toward
 from .pickup import step as pickup_step
-from .planner import CostField, StartOccupied, approach_goal, astar, order_waypoints
-from .posebuffer import OutOfRange, PoseBuffer, write_trajectory
+from .planner import CostField, StartOccupied, approach_goal, astar, nearest_free, order_waypoints
+from .posebuffer import OutOfRange, PoseBuffer
+from .report import COLLECTED, TIMED_OUT, UNREACHABLE, MissionReport, PerTrash, build_report, dump
+from .report import write_report  # noqa: F401  (re-exported: perfbench imports it from here)
 from .simworld import DelayQueue, LayoutError, World, aerial_survey
-
-COLLECTED = "Collected"
-TIMED_OUT = "TimedOut"
-UNREACHABLE = "Unreachable"
-UNDETECTED = "Undetected"
-
-# greedy truth-to-hypothesis pairing cutoff, meters
-MATCH_RADIUS = 0.5
 
 # The camera cannot render items much closer than half a meter, and pixel
 # jitter makes the first visible stretch unreliable, so approach goals keep
@@ -100,44 +74,6 @@ MIN_APPROACH = 1.0
 ALIGN_THRESHOLD = 0.3
 # heading error within which turning to face a spot stops, rad
 FACE_TOLERANCE = 0.2
-
-
-@dataclass(frozen=True)
-class PerTrash:
-    """End-of-mission accounting for one ground-truth trash item."""
-
-    truth: GroundPoint
-    matched: GroundPoint | None
-    map_error: float
-    outcome: str
-
-
-@dataclass(frozen=True)
-class MissionReport:
-    seed: int
-    success: bool
-    wall_time: float
-    map_file: str
-    hypotheses: list[TrashHypothesis]
-    per_trash: list[PerTrash]
-
-    @property
-    def n_trash(self) -> int:
-        return len(self.per_trash)
-
-    @property
-    def n_collected(self) -> int:
-        return sum(1 for p in self.per_trash if p.outcome == COLLECTED)
-
-    @property
-    def mean_map_error(self) -> float:
-        return _finite_mean([p.map_error for p in self.per_trash])
-
-
-def _finite_mean(values: list[float]) -> float:
-    """Mean of the finite values; NaN when there are none."""
-    finite = [v for v in values if math.isfinite(v)]
-    return sum(finite) / len(finite) if finite else float("nan")
 
 
 class _StallTimer:
@@ -191,36 +127,15 @@ class PathFollower:
         return MotionCommand(self._speed, omega)
 
 
-def _nearest_free(
-    grid: OccupancyGrid, x: float, y: float, max_radius: float = 0.6
-) -> GroundPoint | None:
-    """Center of the Free cell nearest to (x, y), or None if nothing Free
-    lies in the square rings around the cell under (x, y), clamped into the
-    grid, out to max_radius plus one cell.  The lowest ring wins, then the
-    distance to the unclamped (x, y) with 1e-12 slack, then the lower
-    (row, col)."""
-    res = grid.resolution
-    cx = min(max(x, 0.5 * res), grid.width * res - 0.5 * res)
-    cy = min(max(y, 0.5 * res), grid.height * res - 0.5 * res)
-    cell = grid.world_to_cell(cx, cy)
-    if cell is None:
-        return None
-    col0, row0 = cell
-    reach = int(math.ceil(max_radius / res)) + 1
-    row_lo, col_lo = max(row0 - reach, 0), max(col0 - reach, 0)
-    window = grid.cells[row_lo : row0 + reach + 1, col_lo : col0 + reach + 1]
-    rows, cols = np.nonzero(window == FREE)  # row-major order
-    if rows.size == 0:
-        return None
-    rows += row_lo
-    cols += col_lo
-    ring = np.maximum(np.abs(rows - row0), np.abs(cols - col0))
-    inner = ring == ring.min()
-    rows, cols = rows[inner], cols[inner]
-    px, py = grid.cell_center(cols, rows)
-    d = np.hypot(px - x, py - y)
-    best = int(np.argmax(d <= d.min() + 1e-12))
-    return GroundPoint(*grid.cell_center(int(cols[best]), int(rows[best])))
+def _lanes(cfg: MissionConfig) -> list[tuple[GroundPoint, GroundPoint]]:
+    """The mapping sweep's lanes: a (start, end) pair parallel to y at each
+    x of `cfg.mapping_lane_xs()`, LANE_MARGIN in from the walls, driven
+    upward first and then alternately."""
+    ys = (LANE_MARGIN, cfg.world.arena_h - LANE_MARGIN)
+    return [
+        tuple(GroundPoint(x, y) for y in (ys if i % 2 == 0 else ys[::-1]))
+        for i, x in enumerate(cfg.mapping_lane_xs())
+    ]
 
 
 class _Runner:
@@ -241,12 +156,10 @@ class _Runner:
         self.poses = PoseBuffer()
         self.poses.insert(0.0, self.world.robot.believed_pose)
         self.hypotheses: list[TrashHypothesis] = []
-        self.confirmed_list: list[TrashHypothesis] = []
         self.frames = DelayQueue()
+        # the raw grid every mapping sweep folds its scans into
         w, h = cfg.grid_shape
         self.grid = OccupancyGrid(w, h, cfg.map_resolution)
-        self.nav_grid: OccupancyGrid | None = None
-        self.cost_field: CostField | None = None
         # when the run is dumped, one raw (pose index, phase, command) row
         # per pickup tick, the tick's pose being the one stored last;
         # formatted only by `dump`
@@ -264,9 +177,6 @@ class _Runner:
     def pose(self) -> Pose2D:
         return self.world.robot.believed_pose
 
-    def _out_of_time(self) -> bool:
-        return self.world.t >= self.cfg.max_time
-
     def _run(
         self, command, *, mapping: bool = False, accept=None, reads=None, after=None,
         ticks: int | None = None,
@@ -276,34 +186,41 @@ class _Runner:
         Each tick: stop once max_time has passed; sense; let
         `command(detections)` choose this tick's command (None ends the
         motion); step, and store the believed pose; stop when `after()`
-        returns a truthy reason.  With `mapping` the tick senses as the
-        sweep does and steps pinned to the truth; with an `accept` filter
-        it captures frames and hands `command` what `_drain` accepts;
-        otherwise it senses nothing and hands `command` None.  Sensing
-        runs only when it is due: a frame capture once `_next_frame` is
-        reached, a drain once the frame queue's earliest ready time is,
-        and a queued scan once `_next_scan` is; on other ticks the
+        returns a truthy reason.  With an `accept` filter the tick
+        captures frames and hands `command` what `_drain` accepts;
+        without one it senses nothing and hands `command` None.  With
+        `mapping` the tick also queues the pose a scan is due from,
+        accepts through `_fold`, and steps pinned to the truth.  Sensing
+        runs only when it is due: a queued scan once `_next_scan` is
+        reached, a frame capture once `_next_frame` is, and a drain once
+        the frame queue's earliest ready time is; on other ticks the
         schedules are only compared.  When `reads()` says `command` will
         not read this tick's detections, the ready frames are popped
         unprojected and `command` gets none.  `ticks` bounds a fixed
         move.  Returns TIMED_OUT when max_time ran out, the reason `after`
         gave, or None.
         """
+        cfg = self.cfg
         world = self.world
         robot = world.robot
         frames = self.frames
         poses = self.poses
-        max_time = self.cfg.max_time
+        max_time = cfg.max_time
+        if mapping:
+            accept = self._fold
         detections = None
         for _ in count() if ticks is None else range(ticks):
             t = world.t
             if t >= max_time:
                 return TIMED_OUT
-            if mapping:
-                self._sense_map()
-            elif accept is not None:
+            if mapping and t >= self._next_scan:
+                self.pending_poses.append(robot.believed_pose)
+                self._next_scan = t + cfg.scan_interval
+            if accept is not None:
                 if t >= self._next_frame:
-                    self._capture_frame()
+                    boxes = world.detect(cfg.camera, cfg.frame_interval, cfg.detect_max_range)
+                    frames.push(t + cfg.noise.detector_latency, (t, boxes))
+                    self._next_frame = t + cfg.frame_interval
                 if t < frames.earliest:
                     detections = []
                 elif reads is None or reads():
@@ -359,30 +276,11 @@ class _Runner:
         radius = self.cfg.confirm_radius
         return lambda _t, point, conf: (point, conf) if distance(point, expected) <= radius else None
 
-    def _ingest_frames(self, until: float) -> None:
-        for det in self._drain(until, RawDetection):
-            self.hypotheses = ingest(self.hypotheses, det, self.cfg.filter)
-
-    def _capture_frame(self) -> None:
-        """Capture a detector frame now; the caller checks it is due."""
-        t = self.world.t
-        boxes = self.world.detect(
-            self.cfg.camera, self.cfg.frame_interval, self.cfg.detect_max_range
-        )
-        self.frames.push(t + self.cfg.noise.detector_latency, (t, boxes))
-        self._next_frame = t + self.cfg.frame_interval
-
-    def _sense_map(self) -> None:
-        """Mapping-phase sensing, each part only when due: queue the scan
-        pose, capture a frame, and ingest the ready frames."""
-        t = self.world.t
-        if t >= self._next_scan:
-            self.pending_poses.append(self.pose)
-            self._next_scan = t + self.cfg.scan_interval
-        if t >= self._next_frame:
-            self._capture_frame()
-        if t >= self.frames.earliest:
-            self._ingest_frames(t)
+    def _fold(self, capture_t: float, point: GroundPoint, confidence: float) -> None:
+        """`_drain` filter of the mapping phase: folds each detection into
+        the filter and keeps none."""
+        det = RawDetection(capture_t, point, confidence)
+        self.hypotheses = ingest(self.hypotheses, det, self.cfg.filter)
 
     def _move(
         self, cmd: MotionCommand, amount: float, rate: float,
@@ -448,68 +346,51 @@ class _Runner:
         ahead = MotionCommand(cfg.mapping_speed, 0.0)
         self._move(ahead, 0.8, cfg.mapping_speed, mapping=True, until_contact=True)
 
-    def mapping_sweep(self) -> None:
-        """Lawnmower coverage with a full look-around at each lane end,
-        then the queued scans cast and folded into the grid, and
-        morphological cleanup of the finished grid."""
+    def mapping_sweep(self, lanes: list[tuple[GroundPoint, GroundPoint]]) -> OccupancyGrid:
+        """Drive each lane from its start to its end, with a full
+        look-around at the end, until max_time runs out; then cast the
+        queued scans, fold them into the raw grid, and return the grid
+        morphologically cleaned.  A drive or spin begun out of time ends
+        before its first tick."""
         cfg = self.cfg
-        margin = 0.5
-        arena_w, arena_h = cfg.world.arena_w, cfg.world.arena_h
-        y_lo, y_hi = margin, arena_h - margin
-        waypoints: list[GroundPoint] = []
-        x = margin
-        upward = True
-        while x <= arena_w - margin + 1e-9:
-            ys = (y_lo, y_hi) if upward else (y_hi, y_lo)
-            waypoints.extend(GroundPoint(x, y) for y in ys)
-            x += cfg.mapping_lane_spacing
-            upward = not upward
         spin = MotionCommand(0.0, cfg.turn_rate)
-        for i, wp in enumerate(waypoints):
-            if self._out_of_time():
+        for lane in lanes:
+            if self.world.t >= cfg.max_time:
                 break
-            self._drive_to(wp, reach=0.2)
-            if i % 2 == 1:
-                self._move(spin, 2.0 * math.pi, cfg.turn_rate, mapping=True)
+            for wp in lane:
+                self._drive_to(wp, reach=0.2)
+            self._move(spin, 2.0 * math.pi, cfg.turn_rate, mapping=True)
         # frames still in the detector pipeline at phase end
-        self._ingest_frames(self.world.t + cfg.noise.detector_latency + 1.0)
+        self._drain(self.world.t + cfg.noise.detector_latency + 1.0, self._fold)
         poses = np.array([(p.x, p.y, p.theta) for p in self.pending_poses]).reshape(-1, 3)
         self.pending_poses = []
         bearings, ranges = self.world.scan(cfg.camera, cfg.n_beams, cfg.scan_max_range, poses)
         integrate_scan(self.grid, poses, bearings, ranges, cfg.scan_max_range)
-        self.grid = morph_close_open(self.grid)
+        return morph_close_open(self.grid)
 
     # ------------------------------------------------------------------ #
-    # phases 3 and 4: tour and collection
+    # phase 3: tour and collection
 
-    def _navigate_to_standoff(self, target: GroundPoint) -> str:
-        """Plan and drive to a standoff goal near the target.  Returns
-        "ok", or an outcome string on failure."""
+    def _navigate_to_standoff(self, target: GroundPoint, field: CostField) -> str:
+        """Plan over `field`'s grid and drive to a standoff goal near the
+        target.  Returns "ok", or an outcome string on failure."""
         cfg = self.cfg
-        assert self.nav_grid is not None and self.cost_field is not None
+        grid = field.grid
         pose = self.pose
-        start = _nearest_free(self.nav_grid, pose.x, pose.y)
+        start = nearest_free(grid, pose.x, pose.y)
         if start is None:
             return UNREACHABLE
+        min_dist = min(MIN_APPROACH, 0.5 * cfg.standoff)
         try:
-            goal = approach_goal(
-                target,
-                self.nav_grid,
-                start,
-                cfg.standoff,
-                min_dist=min(MIN_APPROACH, 0.5 * cfg.standoff),
-                cost_field=self.cost_field,
-            )
+            goal = approach_goal(target, grid, start, cfg.standoff, min_dist, cost_field=field)
         except StartOccupied:
             return UNREACHABLE
         if goal is None:
             return UNREACHABLE
-        plan = astar(self.nav_grid, start, goal.pose.position)
+        plan = astar(grid, start, goal.pose.position)
         if plan is None:
             return UNREACHABLE
-        follower = PathFollower(
-            plan.waypoints, cfg.nav_speed, cfg.turn_rate, cfg.map_resolution
-        )
+        follower = PathFollower(plan.waypoints, cfg.nav_speed, cfg.turn_rate, cfg.map_resolution)
         dt = cfg.world.dt
         stall = _StallTimer(self.pose)
         why = self._run(
@@ -592,14 +473,14 @@ class _Runner:
         self._run(hold_still, accept=self._near(expected), ticks=self._ticks_for(hold, 1.0))
         return seen
 
-    def _collect_one(self, target: GroundPoint) -> str:
+    def _collect_one(self, target: GroundPoint, field: CostField) -> str:
         """Navigate to a standoff and run pickup, with one verify-retry.
         Returns "done", TimedOut, or Unreachable (episode result; the
         final per-trash outcome is settled against ground truth later)."""
         cfg = self.cfg
         state = None
         for attempt in (0, 1):
-            nav = self._navigate_to_standoff(target)
+            nav = self._navigate_to_standoff(target, field)
             if nav == "stuck":
                 # pinned against something the map missed; unpin and replan
                 if attempt == 1:
@@ -629,120 +510,29 @@ class _Runner:
                 self._pickup_episode(retry, leftovers[0])
         return "done"
 
-    def collect(self) -> dict[int, str]:
-        """Visit every confirmed hypothesis; returns hypothesis index to
-        episode result."""
-        cfg = self.cfg
-        self.confirmed_list = confirmed(self.hypotheses, cfg.filter)
-        results: dict[int, str] = {}
-        if not self.confirmed_list:
-            return results
-        self.nav_grid = inflate(self.grid, cfg.inflate_radius)
-        self.cost_field = CostField(self.nav_grid)
-        start = _nearest_free(self.nav_grid, self.pose.x, self.pose.y)
-        points = [h.point for h in self.confirmed_list]
+    def collect(self, grid: OccupancyGrid, targets: list[GroundPoint]) -> dict[int, str]:
+        """Inflate `grid`, build one cost field over it, order `targets`
+        into a tour and visit each; returns target index to episode
+        result."""
+        if not targets:
+            return {}
+        nav_grid = inflate(grid, self.cfg.inflate_radius)
+        field = CostField(nav_grid)
+        start = nearest_free(nav_grid, self.pose.x, self.pose.y)
         if start is None:
-            return {i: UNREACHABLE for i in range(len(points))}
-        tour = order_waypoints(start, points, self.nav_grid, self.cost_field)
-        # map tour entries back to hypothesis indices; order_waypoints
-        # passes the point objects through untouched
-        remaining = {id(p): i for i, p in enumerate(points)}
+            return {i: UNREACHABLE for i in range(len(targets))}
+        tour = order_waypoints(start, targets, nav_grid, field)
+        # map tour entries back to target indices; order_waypoints passes
+        # the point objects through untouched
+        remaining = {id(p): i for i, p in enumerate(targets)}
+        results: dict[int, str] = {}
         for point, _flag in tour:
             idx = remaining.pop(id(point))
-            if self._out_of_time():
+            if self.world.t >= self.cfg.max_time:
                 results[idx] = TIMED_OUT
                 continue
-            results[idx] = self._collect_one(point)
+            results[idx] = self._collect_one(point, field)
         return results
-
-    # ------------------------------------------------------------------ #
-    # reporting
-
-    def build_report(self, results: dict[int, str], map_file: str) -> MissionReport:
-        truths = self.world.trash
-        hyps = self.confirmed_list
-        pairs = sorted(
-            (distance(item.position, h.point), ti, hi)
-            for ti, item in enumerate(truths)
-            for hi, h in enumerate(hyps)
-            if distance(item.position, h.point) <= MATCH_RADIUS
-        )
-        match: dict[int, int] = {}
-        used: set[int] = set()
-        for _d, ti, hi in pairs:
-            if ti in match or hi in used:
-                continue
-            match[ti] = hi
-            used.add(hi)
-        per_trash: list[PerTrash] = []
-        for ti, item in enumerate(truths):
-            hi = match.get(ti)
-            matched = hyps[hi].point if hi is not None else None
-            err = distance(item.position, matched) if matched is not None else float("nan")
-            if item.collected:
-                outcome = COLLECTED
-            elif hi is None:
-                outcome = UNDETECTED
-            else:
-                result = results.get(hi, TIMED_OUT)
-                outcome = UNREACHABLE if result == UNREACHABLE else TIMED_OUT
-            per_trash.append(PerTrash(item.position, matched, err, outcome))
-        success = all(p.outcome == COLLECTED for p in per_trash)
-        return MissionReport(
-            seed=self.cfg.world.seed,
-            success=success,
-            wall_time=self.world.t,
-            map_file=map_file,
-            hypotheses=hyps,
-            per_trash=per_trash,
-        )
-
-    def dump(self, report: MissionReport, out_dir: str) -> None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_report(report, os.path.join(out_dir, "report.txt"))
-        write_hypotheses(self.hypotheses, self.cfg.filter, os.path.join(out_dir, "hypotheses.txt"))
-        lines = write_trajectory(self.poses, os.path.join(out_dir, "trajectory.txt"))
-        with open(os.path.join(out_dir, "ground_truth.txt"), "w", encoding="utf-8") as fh:
-            for ob in self.world.obstacles:
-                fh.write(f"obstacle = {ob.x0!r} {ob.y0!r} {ob.x1!r} {ob.y1!r}\n")
-            for item in self.world.trash:
-                flag = "true" if item.collected else "false"
-                fh.write(
-                    f"trash = {item.position.x!r} {item.position.y!r} {item.mass!r} {flag}\n"
-                )
-        for i, log in enumerate(self.episode_logs):
-            with open(os.path.join(out_dir, f"episode_{i:02d}.txt"), "w", encoding="utf-8") as fh:
-                for k, phase, cmd in log:
-                    # quotes the tick's trajectory line: t, then x y theta
-                    t, _, pose = lines[k].partition(" ")
-                    fh.write(f"{t} {phase.value} {cmd.v!r} {cmd.omega!r} {int(cmd.mechanism_on)} {pose}")
-
-
-def write_report(report: MissionReport, path: str) -> None:
-    """Plain `key = value` report; floats via repr so identical runs
-    serialize to identical bytes."""
-    lines = [
-        f"seed = {report.seed}",
-        f"success = {'true' if report.success else 'false'}",
-        f"n_trash = {report.n_trash}",
-        f"n_collected = {report.n_collected}",
-        f"mean_map_error_m = {report.mean_map_error!r}",
-        f"wall_time_s = {report.wall_time!r}",
-        f"map_file = {os.path.basename(report.map_file)}",
-        f"hypothesis_count = {len(report.hypotheses)}",
-    ]
-    for i, h in enumerate(report.hypotheses):
-        lines.append(f"hypothesis_{i} = {h.point.x!r} {h.point.y!r} {h.count}")
-    for i, p in enumerate(report.per_trash):
-        lines.append(f"trash_{i}_truth = {p.truth.x!r} {p.truth.y!r}")
-        lines.append(f"trash_{i}_outcome = {p.outcome}")
-        if p.matched is not None:
-            lines.append(f"trash_{i}_matched = {p.matched.x!r} {p.matched.y!r}")
-        else:
-            lines.append(f"trash_{i}_matched = none")
-        lines.append(f"trash_{i}_map_error_m = {p.map_error!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _run_trial(cfg: MissionConfig) -> tuple[MissionReport, _Runner]:
@@ -774,12 +564,12 @@ def _run_trial(cfg: MissionConfig) -> tuple[MissionReport, _Runner]:
     return report, runner
 
 
-def _mapped(cfg: MissionConfig) -> _Runner:
-    """A runner that has flown the survey and swept the arena."""
+def _mapped(cfg: MissionConfig) -> tuple[_Runner, OccupancyGrid]:
+    """A runner that has flown the survey and swept the arena, and the
+    cleaned grid of its sweep."""
     runner = _Runner(cfg)
     runner.survey()
-    runner.mapping_sweep()
-    return runner
+    return runner, runner.mapping_sweep(_lanes(cfg))
 
 
 def run_mission(cfg: MissionConfig) -> MissionReport:
@@ -788,177 +578,23 @@ def run_mission(cfg: MissionConfig) -> MissionReport:
     if cfg.scenario == "pickup_trial":
         report, runner = _run_trial(cfg)
     else:
-        runner = _mapped(cfg)
+        runner, grid = _mapped(cfg)
         map_file = ""
         if cfg.output_dir:
             os.makedirs(cfg.output_dir, exist_ok=True)
             map_file = os.path.join(cfg.output_dir, "map.grid")
-            save_map(runner.grid, map_file)
-        results = runner.collect()
-        report = runner.build_report(results, map_file)
+            save_map(grid, map_file)
+        targets = confirmed(runner.hypotheses, cfg.filter)
+        results = runner.collect(grid, [h.point for h in targets])
+        report = build_report(runner.world, targets, results, map_file)
     if cfg.output_dir:
-        runner.dump(report, cfg.output_dir)
+        world, poses, logs = runner.world, runner.poses, runner.episode_logs
+        dump(cfg.output_dir, report, world, poses, runner.hypotheses, cfg.filter, logs)
     return report
 
 
 def run_mapping(cfg: MissionConfig) -> tuple[OccupancyGrid, list[TrashHypothesis], World]:
     """Survey and mapping phases only; returns the cleaned grid, the
     confirmed hypotheses, and the world for inspection."""
-    runner = _mapped(cfg)
-    return runner.grid, confirmed(runner.hypotheses, cfg.filter), runner.world
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path: str, cols: list[str], rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
-
-
-def _batch_row(task: tuple[dict[str, list[str]], int, tuple[tuple[str, str], ...]]) -> dict:
-    """Run one batch mission from its raw config, seed and sweep point, a
-    tuple of (key, value) pairs; returns its runs.csv row.  A ConfigError
-    of its config or its mission is raised again naming the seed and the
-    sweep point."""
-    raw_run, seed, point = task
-    try:
-        report = run_mission(build_config(raw_run))
-    except ConfigError as exc:
-        raise _named(exc, seed, point) from None
-    return {
-        "seed": seed,
-        **dict(point),
-        "success": report.success,
-        "n_collected": report.n_collected,
-        "n_trash": report.n_trash,
-        "mean_map_error_m": report.mean_map_error,
-        "wall_time_s": report.wall_time,
-    }
-
-
-def _named(exc: ConfigError, seed: int, point: tuple[tuple[str, str], ...]) -> ConfigError:
-    """`exc` again, its message led by the batch run's seed and sweep point."""
-    where = "".join(f", {k}={v}" for k, v in point)
-    return ConfigError(f"seed {seed}{where}: {exc}")
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _pool_map(fn, items: Iterator, workers: int) -> Iterator:
-    """`map(fn, items)` over a pool of `workers` processes, yielding results
-    in the order of `items`.  At most 2 x `workers` items are submitted ahead
-    of the one yielded next, so a long `items` costs no memory.  The first
-    exception in that order is raised, and the items not yet started are
-    cancelled.  Workers are spawned, not forked, so they start from a
-    fresh import whatever threads this process runs."""
-    # imported here, so a run that starts no pool does not pay for it
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
-    try:
-        ahead: deque = deque()
-        for item in items:
-            ahead.append(pool.submit(fn, item))
-            if len(ahead) >= 2 * workers:
-                yield ahead.popleft().result()
-        while ahead:
-            yield ahead.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def run_batch(
-    raw: dict[str, list[str]],
-    seeds: Sequence[int],
-    sweep: list[tuple[str, list[str]]],
-    out_dir: str | None = None,
-) -> tuple[list[dict], list[dict]]:
-    """Run every sweep-point x seed combination, seeds innermost.
-
-    Returns (rows, aggregates) and, when out_dir is set, writes runs.csv
-    (one row per run) and aggregate.csv (one row per sweep point).  The
-    seeds come from `seeds` alone, so sweeping `world.seed` is a
-    ConfigError, and so is sweeping one key twice.  A batch of more than
-    one mission on a machine that lets this process use more than one CPU
-    runs its missions in a pool of spawned processes, one per CPU or per
-    mission, whichever is fewer; the rows, the files and the first error
-    raised are those of a sequential run.  Each sweep point's config is
-    built with the first seed before any mission runs, so an invalid one
-    ends the batch at once.  Its ConfigError names that seed and the
-    point, as a mission's does, unless the config has the same error
-    without the sweep.  A script that calls this needs
-    the `if __name__ == "__main__":` guard spawned processes ask for.
-    """
-    if not seeds:
-        raise ConfigError("seeds must be non-empty")
-    sweep_keys = [key for key, _ in sweep]
-    if "world.seed" in sweep_keys:
-        raise ConfigError("world.seed cannot be swept; list the seeds with --seeds")
-    repeated = sorted({key for key in sweep_keys if sweep_keys.count(key) > 1})
-    if repeated:
-        raise ConfigError(f"sweep key {repeated[0]!r} is given more than once")
-    points = [tuple(zip(sweep_keys, combo)) for combo in product(*(values for _, values in sweep))]
-
-    def raw_run(point: tuple[tuple[str, str], ...], seed: int) -> dict[str, list[str]]:
-        out = dict(raw)
-        for key, value in point:
-            apply_override(out, key, value)
-        apply_override(out, "world.seed", str(seed))
-        return out
-
-    def config_error(point: tuple[tuple[str, str], ...]) -> ConfigError | None:
-        first = raw_run(point, seeds[0])
-        try:
-            build_config(first)
-        except ConfigError as exc:
-            return exc
-        return None
-
-    # an error the config has without the sweep is not the point's
-    unswept = config_error(())
-    for point in points:
-        exc = config_error(point)
-        if exc is not None:
-            if unswept is not None and str(exc) == str(unswept):
-                raise exc
-            raise _named(exc, seeds[0], point)
-
-    tasks = ((raw_run(point, seed), seed, point) for point in points for seed in seeds)
-    workers = min(_usable_cpus(), len(points) * len(seeds))
-    results = map(_batch_row, tasks) if workers == 1 else _pool_map(_batch_row, tasks, workers)
-    rows: list[dict] = []
-    aggregates: list[dict] = []
-    for point in points:
-        combo_rows = list(islice(results, len(seeds)))
-        rows.extend(combo_rows)
-        n = len(combo_rows)
-        agg = dict(point)
-        agg.update(
-            n_runs=n,
-            success_rate=sum(1 for r in combo_rows if r["success"]) / n,
-            mean_map_error_m=_finite_mean([r["mean_map_error_m"] for r in combo_rows]),
-            mean_wall_time_s=sum(r["wall_time_s"] for r in combo_rows) / n,
-        )
-        aggregates.append(agg)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        run_cols = ["seed", *sweep_keys, "success", "n_collected", "n_trash", "mean_map_error_m", "wall_time_s"]
-        _write_csv(os.path.join(out_dir, "runs.csv"), run_cols, rows)
-        agg_cols = [*sweep_keys, "n_runs", "success_rate", "mean_map_error_m", "mean_wall_time_s"]
-        _write_csv(os.path.join(out_dir, "aggregate.csv"), agg_cols, aggregates)
-    return rows, aggregates
+    runner, grid = _mapped(cfg)
+    return grid, confirmed(runner.hypotheses, cfg.filter), runner.world

@@ -77,6 +77,38 @@ _CSR_DIAGONAL = np.array([bool(dc and dr) for dc, dr in _CSR_OFFSETS])
 _BYTE_SUM = np.uint64(0x0101010101010101)
 
 
+def nearest_free(
+    grid: OccupancyGrid, x: float, y: float, max_radius: float = 0.6
+) -> GroundPoint | None:
+    """Center of the Free cell nearest to (x, y), where a plan from (x, y)
+    starts, or None if nothing Free lies in the square rings around the
+    cell under (x, y), clamped into the grid, out to max_radius plus one
+    cell.  The lowest ring wins, then the distance to the unclamped (x, y)
+    with 1e-12 slack, then the lower (row, col)."""
+    res = grid.resolution
+    cx = min(max(x, 0.5 * res), grid.width * res - 0.5 * res)
+    cy = min(max(y, 0.5 * res), grid.height * res - 0.5 * res)
+    cell = grid.world_to_cell(cx, cy)
+    if cell is None:
+        return None
+    col0, row0 = cell
+    reach = int(math.ceil(max_radius / res)) + 1
+    row_lo, col_lo = max(row0 - reach, 0), max(col0 - reach, 0)
+    window = grid.cells[row_lo : row0 + reach + 1, col_lo : col0 + reach + 1]
+    rows, cols = np.nonzero(window == FREE)  # row-major order
+    if rows.size == 0:
+        return None
+    rows += row_lo
+    cols += col_lo
+    ring = np.maximum(np.abs(rows - row0), np.abs(cols - col0))
+    inner = ring == ring.min()
+    rows, cols = rows[inner], cols[inner]
+    px, py = grid.cell_center(cols, rows)
+    d = np.hypot(px - x, py - y)
+    best = int(np.argmax(d <= d.min() + 1e-12))
+    return GroundPoint(*grid.cell_center(int(cols[best]), int(rows[best])))
+
+
 def astar(grid: OccupancyGrid, start: GroundPoint, goal: GroundPoint) -> PathPlan | None:
     """Shortest 8-connected path between the cells holding start and goal.
 

@@ -33,6 +33,8 @@ TRASH_RADIUS = 0.1  # nominal object radius used for apparent size, meters
 # largest half-size of a phantom detector box, pixels; the image must be at
 # least twice this wide and tall for a phantom to fit
 PHANTOM_MAX_HALF = 24.0
+# a phantom box's depth is drawn above the camera height plus this, meters
+PHANTOM_DEPTH_MARGIN = 0.1
 # rays `World.scan` casts together in one `_ray_ranges` call.  Blocks of
 # 1024 cast a default sweep in about 1.3 ms against 1.7 ms, but their
 # temporaries raise peak RSS over 32 default missions by about 0.3 MB.
@@ -571,7 +573,7 @@ class World:
                 half = rng.uniform(4.0, PHANTOM_MAX_HALF)
                 u = rng.uniform(half, cam.image_width - half)
                 v = rng.uniform(0.5 * cam.image_height, cam.image_height - half)
-                depth = rng.uniform(cam.mount_height + 0.1, detect_max_range)
+                depth = rng.uniform(cam.mount_height + PHANTOM_DEPTH_MARGIN, detect_max_range)
                 conf = rng.random()
                 out.append(
                     BoundingBox(u - half, u + half, v - half, v + half, depth, conf)

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import littersim
-from littersim import cli, mission
+from littersim import batch, cli, mission
 from littersim.cli import _parse_seeds, _parse_sweep, main
 from littersim.config import ConfigError
 from littersim.gridmap import load_map
@@ -276,6 +276,37 @@ def test_unknown_override_key_exits_1(tmp_path, capsys):
             "mission.n_beams: 1000000000000 beams on each of up to 2251 scans exceed "
             "the 4194304 rays one sweep may cast",
         ),
+        (
+            "mission.mapping_lane_spacing = 1e-300\n",
+            "mission.mapping_lane_spacing: 1e-300 m gives more than the 4096 lanes",
+        ),
+        (
+            "mission.survey_lane_spacing = 1e-300\n",
+            "mission.survey_lane_spacing: 1e-300 m gives up to 8e+300 lanes; at most 4096",
+        ),
+        (
+            "mission.frame_interval = 1e300\n",
+            "noise.false_positive_rate: 0.04 per second expects 4e+298 phantoms in a "
+            "1e+300-s camera frame",
+        ),
+        (
+            "noise.false_positive_rate = 1e300\n",
+            "noise.false_positive_rate: 1e+300 per second expects 2.5e+299 phantoms in a "
+            "0.25-s camera frame",
+        ),
+        (
+            "mission.survey_lane_spacing = 1e300\n",
+            "noise.false_positive_rate: 0.04 per second expects 2e+298 phantoms in a "
+            "5e+299-s survey frame",
+        ),
+        (
+            "camera.mount_height = 1e300\n",
+            "mission.detect_max_range: 4.0 m must exceed camera.mount_height + 0.1 = 1e+300 m",
+        ),
+        (
+            "mission.detect_max_range = 1e-300\n",
+            "mission.detect_max_range: 1e-300 m must exceed camera.mount_height + 0.1 = 0.3 m",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["run", "map", "batch"])
@@ -349,7 +380,7 @@ def test_a_dt_over_the_tick_cap_exits_1_before_any_mission(tmp_path, capsys, mon
     for module, name in ((cli, "run_mission"), (cli, "run_mapping"), (mission, "run_mission")):
         monkeypatch.setattr(module, name, no_mission)
     # one CPU keeps a batch's missions in this process, where the stub is
-    monkeypatch.setattr(mission, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(batch, "_usable_cpus", lambda: 1)
     cfg = tmp_path / "fine.cfg"
     cfg.write_text(f"world.dt = {dt}\n", encoding="utf-8")
     extra = {"run": [], "map": ["--out", str(tmp_path / "m.grid")], "batch": ["--seeds", "0..1"]}
@@ -366,7 +397,7 @@ def test_batch_with_an_invalid_sweep_point_runs_no_mission(capsys, monkeypatch):
 
     monkeypatch.setattr(mission, "run_mission", no_mission)
     # one CPU keeps a batch's missions in this process, where the stub is
-    monkeypatch.setattr(mission, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(batch, "_usable_cpus", lambda: 1)
     code = main(["batch", "--seeds", "0..1", "--sweep", "mission.n_beams=32,1"])
     assert code == 1
     assert capsys.readouterr().err == (
@@ -379,7 +410,7 @@ def test_parallel_batch_prints_what_a_sequential_one_prints(tmp_path, capsys, mo
     cfg.write_text(TRIAL_CFG, encoding="utf-8")
     printed = []
     for cpus in (1, 2):
-        monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(batch, "_usable_cpus", lambda: cpus)
         out = tmp_path / f"cpus{cpus}"
         args = ["batch", "--config", str(cfg), "--seeds", "0..4", "--out", str(out)]
         assert main([*args, "--sweep", "mission.trial_distance=0.5,2.0"]) == 0
@@ -402,7 +433,7 @@ def test_parallel_batch_names_the_first_failing_seed_a_sequential_one_names(
     sweep = "world.obstacle_count=0,60" if seeds == "0..3" else "world.obstacle_count=60"
     errors = []
     for cpus in (1, 2):
-        monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(batch, "_usable_cpus", lambda: cpus)
         code = main(["batch", "--config", str(cfg), "--seeds", seeds, "--sweep", sweep])
         assert code == 1
         errors.append(capsys.readouterr().err)

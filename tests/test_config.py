@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from littersim import config
+from littersim import config, mission
 from littersim.clusterfilter import FilterConfig
 from littersim.config import (
     _MULTI,
@@ -340,6 +340,22 @@ def test_a_dt_at_the_tick_cap_is_accepted():
         build_config({"world.dt": [repr(math.nextafter(dt, 0.0))]})
     default = build_config({})
     assert default.max_time / default.world.dt == 18000.0
+
+
+def test_the_lane_cap_counts_the_lanes_the_sweep_drives():
+    # lanes at x = 0.5, 1.5, ... up to arena_w - 0.5: exactly MAX_LANES of
+    # them are accepted, and the sweep drives each
+    assert config.MAX_LANES == 4096
+    raw = {
+        "mission.mapping_lane_spacing": ["1.0"],
+        "mission.map_resolution": ["0.5"],
+        "mission.max_time": ["10000"],
+    }
+    cfg = build_config({**raw, "world.arena_w": ["4096"]})
+    assert len(mission._lanes(cfg)) == config.MAX_LANES
+    with pytest.raises(ConfigError, match=r"^mission.mapping_lane_spacing: 1.0 m gives more than"):
+        build_config({**raw, "world.arena_w": ["4097"]})
+    assert len(mission._lanes(build_config({}))) == 6
 
 
 def _dataclass_default(key: str):

@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import pytest
 
-from littersim import mission
+from littersim import batch
 from littersim.config import build_config
 from littersim.mission import run_batch, run_mission
 from littersim.simworld import NoiseModel
@@ -179,6 +179,6 @@ def test_batch_files_match_golden_digests(tmp_path):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_batch_files_match_golden_digests_on_any_cpu_count(tmp_path, monkeypatch, cpus):
     # one CPU runs the missions in this process, two in a process pool
-    monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(batch, "_usable_cpus", lambda: cpus)
     run_batch({}, [0, 1], [], out_dir=str(tmp_path))
     assert {p.name: _digest(p) for p in tmp_path.iterdir()} == BATCH

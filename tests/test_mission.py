@@ -9,28 +9,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import littersim
-from littersim import mission
+from littersim import batch, mission
 from littersim.clusterfilter import FilterConfig
 from littersim.config import ConfigError, MissionConfig, build_config
 from littersim.geometry import CameraModel, GroundPoint, Pose2D, project_detection
-from littersim.gridmap import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, load_map
-from littersim.mission import (
-    COLLECTED,
-    UNDETECTED,
-    UNREACHABLE,
-    PathFollower,
-    _nearest_free,
-    run_batch,
-    run_mapping,
-    run_mission,
-    write_report,
-)
+from littersim.gridmap import FREE, UNKNOWN, load_map
+from littersim.mission import PathFollower, run_batch, run_mapping, run_mission, write_report
 from littersim.pickup import PickupConfig, PickupPhase
 from littersim.pickup import step as pickup_step
+from littersim.report import COLLECTED, UNDETECTED, UNREACHABLE
 from littersim.simworld import NoiseModel, Rect, World, WorldConfig
 
 
@@ -404,7 +393,7 @@ def test_run_batch_runs_a_sweep_that_mends_the_config(monkeypatch):
 
     monkeypatch.setattr(mission, "run_mission", stub)
     # one CPU keeps a batch's missions in this process, where the stub is
-    monkeypatch.setattr(mission, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(batch, "_usable_cpus", lambda: 1)
     run_batch({"mission.n_beams": ["1"]}, seeds=[0], sweep=[("mission.n_beams", ["32", "64"])])
     assert ran == [32, 64]
 
@@ -523,7 +512,7 @@ def test_pool_map_keeps_order_and_submits_a_small_window():
             pulled.append(i)
             yield i
 
-    results = mission._pool_map(operator.neg, items(), 2)
+    results = batch._pool_map(operator.neg, items(), 2)
     assert list(islice(results, 5)) == [0, -1, -2, -3, -4]
     # an endless input is read at most 2 x workers items ahead
     assert len(pulled) <= 5 + 2 * 2
@@ -581,7 +570,7 @@ def test_mapping_sweep_folds_its_queued_scans_once(monkeypatch, overrides):
 
     monkeypatch.setattr(mission, "integrate_scan", record_fold)
     monkeypatch.setattr(mission, "morph_close_open", record_cleanup)
-    runner = mission._mapped(cfg)
+    runner, _grid = mission._mapped(cfg)
     assert len(folds) == 1 and len(before_cleanup) == 1
     assert runner.pending_poses == []
     poses, bearings, ranges, max_range = folds[0]
@@ -604,17 +593,24 @@ def test_mapping_sweep_casts_from_the_true_pose_of_each_tick(monkeypatch, seed):
     cfg = build_config({"world.seed": [str(seed)]})
     queued = []
     live_scans = []
-    sense_map = mission._Runner._sense_map
+    runners = []
+    init = mission._Runner.__init__
     scan = World.scan
 
-    def record_sense(runner):
-        before = len(runner.pending_poses)
-        sense_map(runner)
-        if len(runner.pending_poses) > before:
-            world, true = runner.world, runner.world.robot.true_pose
-            queued.append((runner.pending_poses[-1], true))
+    class RecordingQueue(list):
+        # the tick loop queues each scan pose by appending it here
+        def append(self, pose):
+            super().append(pose)
+            world = runners[-1].world
+            true = world.robot.true_pose
+            queued.append((pose, true))
             row = [(true.x, true.y, true.theta)]
             live_scans.append(scan(world, cfg.camera, cfg.n_beams, cfg.scan_max_range, row)[1])
+
+    def hooked_init(runner, *args, **kwargs):
+        init(runner, *args, **kwargs)
+        runner.pending_poses = RecordingQueue()
+        runners.append(runner)
 
     casts = []
 
@@ -622,7 +618,7 @@ def test_mapping_sweep_casts_from_the_true_pose_of_each_tick(monkeypatch, seed):
         casts.append(scan(world, *args, **kwargs))
         return casts[-1]
 
-    monkeypatch.setattr(mission._Runner, "_sense_map", record_sense)
+    monkeypatch.setattr(mission._Runner, "__init__", hooked_init)
     monkeypatch.setattr(World, "scan", record_cast)
     mission._mapped(cfg)
     assert len(queued) > 100
@@ -632,82 +628,19 @@ def test_mapping_sweep_casts_from_the_true_pose_of_each_tick(monkeypatch, seed):
     assert ranges.tobytes() == np.concatenate(live_scans).tobytes()
 
 
-def ring_search_nearest_free(grid, x, y, max_radius=0.6):
-    """The ring search `_nearest_free` replaced, kept as its reference:
-    rings of growing Chebyshev radius around the cell under the clamped
-    query, row-major within a ring, a later cell winning only when nearer
-    to the unclamped query by more than 1e-12."""
-    res = grid.resolution
-    span_x = grid.width * res
-    span_y = grid.height * res
-    cx = min(max(x, 0.5 * res), span_x - 0.5 * res)
-    cy = min(max(y, 0.5 * res), span_y - 0.5 * res)
-    cell = grid.world_to_cell(cx, cy)
-    if cell is None:
-        return None
-    col0, row0 = cell
-    max_r = int(math.ceil(max_radius / res)) + 1
-    for ring in range(max_r + 1):
-        best = None
-        best_d = math.inf
-        for row in range(row0 - ring, row0 + ring + 1):
-            if not 0 <= row < grid.height:
-                continue
-            for col in range(col0 - ring, col0 + ring + 1):
-                if max(abs(row - row0), abs(col - col0)) != ring:
-                    continue
-                if not 0 <= col < grid.width:
-                    continue
-                if grid.cells[row, col] != FREE:
-                    continue
-                px, py = grid.cell_center(col, row)
-                d = math.hypot(px - x, py - y)
-                if d < best_d - 1e-12:
-                    best_d = d
-                    best = (col, row)
-        if best is not None:
-            px, py = grid.cell_center(best[0], best[1])
-            return GroundPoint(px, py)
-    return None
-
-
-@st.composite
-def _free_queries(draw):
-    width = draw(st.integers(1, 14))
-    height = draw(st.integers(1, 14))
-    res = draw(st.sampled_from([0.05, 0.1, 0.25, 0.3, 1.0]))
-    grid = OccupancyGrid(width, height, res)
-    p_free = draw(st.sampled_from([0.0, 0.1, 0.3, 0.3, 0.5, 0.7, 1.0]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    grid.cells[:] = np.where(
-        rng.random((height, width)) < p_free, FREE, rng.choice([OCCUPIED, UNKNOWN], (height, width))
+@pytest.mark.parametrize("first", ["littersim.batch", "littersim.report", "littersim.mission"])
+def test_the_split_modules_import_in_any_order(first):
+    # a fresh interpreter: an import cycle or a dropped re-export would
+    # otherwise show only when a script or the benchmark imports them
+    code = (
+        f"import {first}\n"
+        "import littersim.batch, littersim.mission, littersim.report\n"
+        "assert littersim.mission.run_batch is littersim.batch.run_batch\n"
+        "assert littersim.mission.write_report is littersim.report.write_report\n"
+        "from littersim.mission import MIN_APPROACH, run_mapping, run_mission, write_report\n"
     )
-
-    def coord(span):
-        # half-cell lattice points give exact distance ties; the range
-        # reaches well outside the grid on both sides
-        lattice = st.integers(-8, int(round(2 * span / res)) + 8).map(lambda k: k * 0.5 * res)
-        return st.one_of(lattice, lattice, st.floats(-2.0, span + 2.0))
-
-    x = draw(coord(width * res))
-    y = draw(coord(height * res))
-    max_radius = draw(st.sampled_from([0.0, 0.1, 0.6, 0.6, 2.0]))
-    return grid, x, y, max_radius
-
-
-@settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(_free_queries())
-def test_nearest_free_equals_the_ring_search(case):
-    grid, x, y, max_radius = case
-    assert _nearest_free(grid, x, y, max_radius) == ring_search_nearest_free(grid, x, y, max_radius)
-
-
-def test_nearest_free_breaks_exact_ties_toward_lower_row_then_col():
-    grid = OccupancyGrid(4, 4, 1.0)
-    grid.cells[:] = OCCUPIED
-    # the query sits on the corner shared by four cells; only the two
-    # diagonal ones are Free and both lie at the same distance
-    grid.cells[1, 2] = FREE
-    grid.cells[2, 1] = FREE
-    assert _nearest_free(grid, 2.0, 2.0) == GroundPoint(2.5, 1.5)
-    assert ring_search_nearest_free(grid, 2.0, 2.0) == GroundPoint(2.5, 1.5)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(littersim.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -22,6 +22,7 @@ from littersim.planner import (
     StartOccupied,
     approach_goal,
     astar,
+    nearest_free,
     order_waypoints,
 )
 
@@ -982,3 +983,84 @@ def test_approach_goal_start_occupied_raises():
     g = grid_from(cells)
     with pytest.raises(StartOccupied):
         approach_goal(GroundPoint(0.1, 0.1), g, GroundPoint(*g.cell_center(4, 4)))
+
+
+def ring_search_nearest_free(grid, x, y, max_radius=0.6):
+    """The ring search `nearest_free` replaced, kept as its reference:
+    rings of growing Chebyshev radius around the cell under the clamped
+    query, row-major within a ring, a later cell winning only when nearer
+    to the unclamped query by more than 1e-12."""
+    res = grid.resolution
+    span_x = grid.width * res
+    span_y = grid.height * res
+    cx = min(max(x, 0.5 * res), span_x - 0.5 * res)
+    cy = min(max(y, 0.5 * res), span_y - 0.5 * res)
+    cell = grid.world_to_cell(cx, cy)
+    if cell is None:
+        return None
+    col0, row0 = cell
+    max_r = int(math.ceil(max_radius / res)) + 1
+    for ring in range(max_r + 1):
+        best = None
+        best_d = math.inf
+        for row in range(row0 - ring, row0 + ring + 1):
+            if not 0 <= row < grid.height:
+                continue
+            for col in range(col0 - ring, col0 + ring + 1):
+                if max(abs(row - row0), abs(col - col0)) != ring:
+                    continue
+                if not 0 <= col < grid.width:
+                    continue
+                if grid.cells[row, col] != FREE:
+                    continue
+                px, py = grid.cell_center(col, row)
+                d = math.hypot(px - x, py - y)
+                if d < best_d - 1e-12:
+                    best_d = d
+                    best = (col, row)
+        if best is not None:
+            px, py = grid.cell_center(best[0], best[1])
+            return GroundPoint(px, py)
+    return None
+
+
+@st.composite
+def _free_queries(draw):
+    width = draw(st.integers(1, 14))
+    height = draw(st.integers(1, 14))
+    res = draw(st.sampled_from([0.05, 0.1, 0.25, 0.3, 1.0]))
+    grid = OccupancyGrid(width, height, res)
+    p_free = draw(st.sampled_from([0.0, 0.1, 0.3, 0.3, 0.5, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid.cells[:] = np.where(
+        rng.random((height, width)) < p_free, FREE, rng.choice([OCCUPIED, UNKNOWN], (height, width))
+    )
+
+    def coord(span):
+        # half-cell lattice points give exact distance ties; the range
+        # reaches well outside the grid on both sides
+        lattice = st.integers(-8, int(round(2 * span / res)) + 8).map(lambda k: k * 0.5 * res)
+        return st.one_of(lattice, lattice, st.floats(-2.0, span + 2.0))
+
+    x = draw(coord(width * res))
+    y = draw(coord(height * res))
+    max_radius = draw(st.sampled_from([0.0, 0.1, 0.6, 0.6, 2.0]))
+    return grid, x, y, max_radius
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_free_queries())
+def test_nearest_free_equals_the_ring_search(case):
+    grid, x, y, max_radius = case
+    assert nearest_free(grid, x, y, max_radius) == ring_search_nearest_free(grid, x, y, max_radius)
+
+
+def test_nearest_free_breaks_exact_ties_toward_lower_row_then_col():
+    grid = OccupancyGrid(4, 4, 1.0)
+    grid.cells[:] = OCCUPIED
+    # the query sits on the corner shared by four cells; only the two
+    # diagonal ones are Free and both lie at the same distance
+    grid.cells[1, 2] = FREE
+    grid.cells[2, 1] = FREE
+    assert nearest_free(grid, 2.0, 2.0) == GroundPoint(2.5, 1.5)
+    assert ring_search_nearest_free(grid, 2.0, 2.0) == GroundPoint(2.5, 1.5)
